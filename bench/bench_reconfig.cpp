@@ -1,7 +1,7 @@
 // Hitless-operations bench (ISSUE 7): 100 live reconfigurations over a
 // 2000-slot chaos-faulted soak, with a telemetry diff gate proving zero
-// UL/DL loss attributable to reconfiguration, serial == parallel(4), and
-// checkpoint/restore round-trip cost. Results land in BENCH_reconfig.json.
+// UL/DL loss attributable to reconfiguration, and checkpoint/restore
+// round-trip cost. Results land in BENCH_reconfig.json.
 #include <cstdio>
 #include <sstream>
 #include <string>
@@ -26,8 +26,7 @@ struct Rig {
   MiddleboxRuntime* rt = nullptr;
   std::vector<UeId> ues;
 
-  explicit Rig(const exec::ExecPolicy& policy) {
-    d.engine.set_exec_policy(policy);
+  Rig() {
     du = d.add_du(bench::cell_cfg(MHz(100), bench::kBand78Center, 1),
                   srsran_profile(), 0);
     std::vector<Deployment::RuHandle*> ptrs;
@@ -90,8 +89,8 @@ struct SoakResult {
 /// net-no-op batch, so the run must be byte-identical to the plain soak:
 /// any packet dropped, delayed or re-ordered by the act of reconfiguring
 /// would show up in the fingerprint diff.
-SoakResult soak(const exec::ExecPolicy& policy, bool reconfig) {
-  Rig rig(policy);
+SoakResult soak(bool reconfig) {
+  Rig rig;
   if (!rig.d.attach_all(600)) {
     std::fprintf(stderr, "attach failed\n");
     std::exit(2);
@@ -142,27 +141,24 @@ int main() {
                static_cast<unsigned long long>(r.stalls));
   };
 
-  const SoakResult base = soak(exec::ExecPolicy::serial(), false);
-  line("serial baseline", base);
-  const SoakResult rec = soak(exec::ExecPolicy::serial(), true);
-  line("serial +100 reconfigs", rec);
-  const SoakResult par = soak(exec::ExecPolicy::parallel(4), true);
-  line("parallel(4) +100 reconfigs", par);
+  const SoakResult base = soak(false);
+  line("baseline", base);
+  const SoakResult rec = soak(true);
+  line("+100 reconfigs", rec);
 
   // Gates. The fingerprint equality is the telemetry diff: every counter,
   // fault statistic and UE bit count identical means zero UL/DL loss
   // attributable to reconfiguration.
   const bool gate_diff = rec.fp == base.fp;
-  const bool gate_par = par.fp == rec.fp;
   const bool gate_count = rec.applied == 2 * kReconfigs;
   const bool gate_clean = rec.rx_dropped == 0 && rec.stalls == 0;
 
   // Checkpoint/restore round-trip cost on the same rig shape.
-  Rig ck(exec::ExecPolicy::serial());
+  Rig ck;
   (void)ck.d.attach_all(600);
   ck.d.engine.run_slots(200);
   const auto blob = checkpoint(ck.d);
-  Rig ck2(exec::ExecPolicy::serial());
+  Rig ck2;
   const RestoreResult rres = restore(ck2.d, blob);
   const bool gate_restore = rres.ok();
 
@@ -172,7 +168,6 @@ int main() {
   bench::row("");
   bench::row("telemetry diff vs baseline: %s",
              gate_diff ? "IDENTICAL (zero loss from reconfig)" : "DIVERGED");
-  bench::row("serial == parallel(4): %s", gate_par ? "yes" : "NO");
   bench::row("ops applied: %llu (want %d), dropped=%llu stalls=%llu: %s",
              static_cast<unsigned long long>(rec.applied), 2 * kReconfigs,
              static_cast<unsigned long long>(rec.rx_dropped),
@@ -184,8 +179,7 @@ int main() {
   bench::row("checkpoint: %zu bytes, restore: %s", blob.size(),
              gate_restore ? "ok" : state::error_name(rres.error));
 
-  const bool gate = gate_diff && gate_par && gate_count && gate_clean &&
-                    gate_restore;
+  const bool gate = gate_diff && gate_count && gate_clean && gate_restore;
   std::FILE* f = std::fopen("BENCH_reconfig.json", "w");
   if (f) {
     std::fprintf(
@@ -194,14 +188,14 @@ int main() {
         "  \"ops_applied\": %llu,\n  \"baseline_dl_mbits\": %.2f,\n"
         "  \"baseline_ul_mbits\": %.2f,\n  \"reconfig_dl_mbits\": %.2f,\n"
         "  \"reconfig_ul_mbits\": %.2f,\n  \"telemetry_identical\": %s,\n"
-        "  \"serial_equals_parallel4\": %s,\n  \"rx_dropped\": %llu,\n"
+        "  \"rx_dropped\": %llu,\n"
         "  \"combiner_stalls\": %llu,\n  \"apply_wall_ns_hwm\": %llu,\n"
         "  \"checkpoint_bytes\": %zu,\n  \"restore_ok\": %s,\n"
         "  \"gate_zero_loss\": %s\n}\n",
         kSoakSlots, kReconfigs,
         static_cast<unsigned long long>(rec.applied), base.dl_mbits,
         base.ul_mbits, rec.dl_mbits, rec.ul_mbits,
-        gate_diff ? "true" : "false", gate_par ? "true" : "false",
+        gate_diff ? "true" : "false",
         static_cast<unsigned long long>(rec.rx_dropped),
         static_cast<unsigned long long>(rec.stalls),
         static_cast<unsigned long long>(wall_hwm), blob.size(),

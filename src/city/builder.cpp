@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "city/city.h"
-#include "exec/shard.h"
 #include "ran/vendor.h"
 
 namespace rb::city {
@@ -17,10 +16,6 @@ constexpr int kGuestPci = 999;
 /// uses: 106-PRB tenants at offsets 10 and 150 of 273 PRBs).
 constexpr int kHostOffset = 10;
 constexpr int kGuestOffset = 150;
-
-std::uint64_t ru_flow_key(RuId id) {
-  return exec::flow_key(std::uint32_t(id), 0);
-}
 
 /// Mild seeded fault cocktail for one cell's DU-side fronthaul link:
 /// light enough that attach still succeeds through it, busy enough that
@@ -143,64 +138,21 @@ std::unique_ptr<City> build_city(const CityConfig& cfg) {
     const UeId real_ue = h.add_ue(gpos, nullptr, 0, 0, kGuestPci);
     city->cell(0).ues.push_back(real_ue);
 
-    // The guest cell registered in the host air, radiated by the shared
-    // RU's rented slice.
+    // The guest cell registered in the host air; the share below assigns
+    // it the shared RU's rented slice.
     const CellId mirror_cell = h.air.add_cell(gdu.du->config().cell);
-    h.air.assign_ru(mirror_cell, shared_ru.id, guest_off);
 
     // Cross-shard conduit: guest DU port <-> xlink <-> share north1.
     XLink& xl = city->add_xlink("xl:" + g.name_prefix + "du" +
                                 std::to_string(cfg.n_cells));
     Port::connect(xl.a, *gdu.port, 500);
 
-    // RU-share middlebox in the host shard, hand-wired because tenant 1
-    // is a DuHandle of another shard (mirrors Deployment::add_rushare).
-    RuShareConfig sc;
-    sc.ru_mac = shared_ru.mac;
-    sc.ru_n_prb = shared_prbs;
-    sc.ru_center_freq = shared_site.center_freq;
-    ShareDu host_sd;
-    host_sd.mac = host_du.du->config().du_mac;
-    host_sd.du_id = host_du.du->config().du_id;
-    host_sd.n_prb = host_du.du->config().cell.n_prb();
-    host_sd.center_freq = host_du.du->config().cell.center_freq;
-    host_sd.prb_offset =
-        Deployment::prb_offset_in_ru(host_du.du->config().cell, shared_site);
-    sc.dus.push_back(host_sd);
-    h.air.assign_ru(host_du.cell, shared_ru.id, host_sd.prb_offset);
-    ShareDu guest_sd;
-    guest_sd.mac = gdu.du->config().du_mac;
-    guest_sd.du_id = gdu.du->config().du_id;
-    guest_sd.n_prb = gdu.du->config().cell.n_prb();
-    guest_sd.center_freq = gdu.du->config().cell.center_freq;
-    guest_sd.prb_offset = guest_off;
-    sc.dus.push_back(guest_sd);
-
-    auto app = std::make_unique<RuShareMiddlebox>(sc);
-    MiddleboxRuntime::Config rc;
-    rc.name = h.name_prefix + "rushare" + std::to_string(h.runtimes.size());
-    rc.cell = h.cell_label;
-    rc.fh = host_du.du->fh();
-    rc.fh.carrier_prbs = sc.ru_n_prb;
-    auto rt = std::make_unique<MiddleboxRuntime>(rc, *app);
-    Port& south = h.new_port(rc.name + ".south");
-    rt->add_port("south", south);  // index 0 == RuShareMiddlebox::kSouth
-    Port::connect(south, *shared_ru.port, 1'000);
-    Port& north0 = h.new_port(rc.name + ".north0");
-    rt->add_port("north0", north0, host_du.du->fh());
-    Port::connect(*host_du.port, north0, 1'000);
-    Port& north1 = h.new_port(rc.name + ".north1");
-    rt->add_port("north1", north1, gdu.du->fh());
-    Port::connect(xl.b, north1, 500);
-
-    h.engine.add_middlebox(*rt);
-    h.engine.bind_affinity(*shared_ru.ru, ru_flow_key(shared_ru.id));
-    h.engine.bind_affinity(*host_du.du, ru_flow_key(shared_ru.id));
-    h.engine.bind_affinity(static_cast<Pumpable&>(*rt),
-                           ru_flow_key(shared_ru.id));
-    MiddleboxRuntime* share_rt = rt.get();
-    h.apps.push_back(std::move(app));
-    h.runtimes.push_back(std::move(rt));
+    // RU-share middlebox in the host shard. Tenant 1 is the guest DU of
+    // another shard, reached through the xlink's host-side endpoint.
+    MiddleboxRuntime* share_rt = &h.add_rushare(
+        {{host_du.du, host_du.port, host_du.cell},
+         {gdu.du, &xl.b, mirror_cell, 500}},
+        shared_ru);
 
     city->add_guest_du(1, *gdu.du);
 

@@ -158,13 +158,11 @@ void City::bridge(NeutralHostShare& s) {
 
   // (a) PRACH detections the guest DU made this slot (from U-plane that
   // physically crossed the share) complete the real UE's attachment in
-  // the host shard, where the radio state lives. Flushing immediately
-  // keeps the serial and parallel conductors on the same schedule.
+  // the host shard, where the radio state lives.
   const std::uint64_t det = s.guest_du->stats().prach_detections;
   if (det != s.prach_seen) {
     s.prach_seen = det;
     ha.complete_prach(s.mirror_cell_air, slot_);
-    ha.flush_prach_completions();
   }
 
   // (b) Attachment: the host shard is authoritative (its UE attaches

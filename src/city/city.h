@@ -4,8 +4,8 @@
 // Each cell is a full Deployment slice (DU, RUs, middleboxes, fault
 // links, controller) advancing slot-synchronously inside its own shard.
 // The conductor owns the global slot barrier: it dispatches one job per
-// cell onto an exec::WorkerPool (cells are the outer shard; each cell's
-// engine runs its historical serial path inside the job), then — with
+// cell onto an exec::WorkerPool (each cell's engine runs serially inside
+// the job; the conductor is the only parallel engine), then — with
 // every worker parked — performs all inter-cell work itself in fixed
 // creation order:
 //

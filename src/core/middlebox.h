@@ -56,8 +56,8 @@ class MiddleboxRuntime;
 /// Per-worker scratch arena for the combine hot path: the A3 take batch,
 /// the per-RU dedup set and the per-section source spans reuse their
 /// capacity across packets, so a steady-state combine makes no heap
-/// allocations. One instance per worker thread (exec shards run one
-/// runtime per worker, and chain re-entrancy never interleaves two
+/// allocations. One instance per thread (a city cell job runs its
+/// runtimes on one thread, and chain re-entrancy never interleaves two
 /// combines on one thread); hand out via MbContext::scratch().
 struct MbScratch {
   std::vector<CachedPacket> batch;
@@ -267,9 +267,6 @@ class MiddleboxRuntime final : public Pumpable {
   // Pumpable:
   bool pump(std::int64_t slot, std::int64_t slot_start_ns) override;
   void begin_slot(std::int64_t slot) override;
-  bool supports_deferred_tx() const override { return true; }
-  void set_defer_tx(bool on) override { defer_tx_ = on; }
-  bool flush_deferred_tx() override;
 
   /// CPU utilization of the middlebox core(s) over the window since the
   /// last reset_cpu(): 1.0 for DPDK (poll), busy/wall for XDP.
@@ -316,7 +313,7 @@ class MiddleboxRuntime final : public Pumpable {
   /// (re-parsed on load via the per-port fronthaul context), latency
   /// watermarks — then the app's own state via its save_state hook, all
   /// into the caller's open section. Call only at the slot barrier:
-  /// worker availability and deferred TX are empty there by construction.
+  /// worker availability is empty there by construction.
   void save_state(state::StateWriter& w) const;
   void load_state(state::StateReader& r);
 
@@ -365,8 +362,8 @@ class MiddleboxRuntime final : public Pumpable {
   bool pump_idle(std::int64_t slot, std::int64_t slot_start_ns);
   /// Pick the worker with the earliest availability.
   std::size_t pick_worker() const;
-  /// Transmit on `out` (bounds pre-checked), or queue when deferring.
-  void send_or_defer(int out, PacketPtr pkt);
+  /// Transmit on `out` (bounds pre-checked).
+  void send(int out, PacketPtr pkt);
 
   /// Pre-interned telemetry handles for the per-packet hot path (avoids
   /// the string hash/compare per counter bump).
@@ -390,8 +387,6 @@ class MiddleboxRuntime final : public Pumpable {
   PacketCache cache_;
   Telemetry telemetry_;
   HotCounters hot_;
-  bool defer_tx_ = false;
-  std::vector<std::pair<PacketPtr, int>> deferred_tx_;
   std::uint16_t obs_track_ = 0;  // obs track id for this runtime's spans
   std::int64_t cpu_window_start_ns_ = 0;
   std::int64_t slot_max_latency_ns_ = 0;

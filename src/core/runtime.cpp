@@ -265,31 +265,15 @@ void MiddleboxRuntime::begin_slot(std::int64_t slot) {
   MbContext ctx(this, -1, slot, current_slot_start_ns_);
   app_->on_slot(slot, ctx);
   for (auto& [pkt, out] : ctx.tx_queue_) {
-    if (out >= 0 && out < num_ports()) send_or_defer(out, std::move(pkt));
+    if (out >= 0 && out < num_ports()) send(out, std::move(pkt));
   }
 }
 
-void MiddleboxRuntime::send_or_defer(int out, PacketPtr pkt) {
-  // Emitted here (not at flush) so the serial direct path and the
-  // parallel deferred path trace the identical Tx instant: the
-  // timestamp is the packet's modeled departure, fixed before deferral.
+void MiddleboxRuntime::send(int out, PacketPtr pkt) {
   if (obs::enabled())
     obs::emit(obs::Cat::Tx, obs::kNTx, obs_track_, pkt->rx_time_ns, 0,
               std::uint64_t(out));
-  if (defer_tx_)
-    deferred_tx_.emplace_back(std::move(pkt), out);
-  else
-    drivers_[std::size_t(out)]->tx(std::move(pkt));
-}
-
-bool MiddleboxRuntime::flush_deferred_tx() {
-  if (deferred_tx_.empty()) return false;
-  // Swap out first: tx() delivers inline, and a chained peer's handler
-  // could re-enter this runtime.
-  std::vector<std::pair<PacketPtr, int>> q;
-  q.swap(deferred_tx_);
-  for (auto& [pkt, out] : q) drivers_[std::size_t(out)]->tx(std::move(pkt));
-  return true;
+  drivers_[std::size_t(out)]->tx(std::move(pkt));
 }
 
 bool MiddleboxRuntime::parse_rx_frame(int in_port, const Packet& p,
@@ -475,7 +459,7 @@ bool MiddleboxRuntime::pump(std::int64_t slot, std::int64_t slot_start_ns) {
                       slot_start_ns);
     }
     for (std::size_t t = 0; t < b.txq.size(); ++t)
-      send_or_defer(b.txq[t].second, std::move(b.txq[t].first));
+      send(b.txq[t].second, std::move(b.txq[t].first));
     b.txq.clear();
   }
   return true;
@@ -492,7 +476,7 @@ bool MiddleboxRuntime::pump_idle(std::int64_t slot,
   bool moved = false;
   for (auto& [pkt, out] : ctx.tx_queue_) {
     if (out < 0 || out >= num_ports()) continue;
-    send_or_defer(out, std::move(pkt));
+    send(out, std::move(pkt));
     moved = true;
   }
   return moved;

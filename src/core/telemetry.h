@@ -106,11 +106,11 @@ class Telemetry {
   /// being published — it sees subsequent samples only.
   ///
   /// Threading contract: publish() and subscribe() are coordinator-only.
-  /// Under ExecPolicy::parallel, middlebox handlers run on pool workers
-  /// but never publish from them — apps buffer samples during the slot
-  /// and publish from on_slot()/pump hooks, which the engine invokes at
-  /// the slot barrier with all workers parked. The callback list is
-  /// therefore never touched concurrently and needs no lock.
+  /// A cell's engine runs serially; under a parallel city conductor each
+  /// cell job runs on a pool worker as the coordinator of its own cell
+  /// (ShardCoordinatorScope), and no two jobs share a Telemetry. The
+  /// callback list is therefore never touched concurrently and needs no
+  /// lock.
   void publish(const TelemetrySample& s) {
     assert(!on_exec_worker_thread() &&
            "publish() is coordinator-only; buffer samples until the "

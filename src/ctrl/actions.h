@@ -3,9 +3,8 @@
 // The controller never pokes middlebox internals directly: every decision
 // is expressed as a CtrlAction and handed to the actuator the deployment
 // registered for that link. Actions are applied at the slot barrier (the
-// engine's begin-of-slot hook runs on the coordinator with all workers
-// parked), so serial and parallel runs observe identical knob settings for
-// every packet of a slot.
+// engine's begin-of-slot hook, before any entity touches the new slot),
+// so every packet of a slot observes the same knob settings.
 #pragma once
 
 #include <cstdint>

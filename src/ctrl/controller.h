@@ -14,8 +14,8 @@
 //    double EWMA updates on the coordinator thread. Wall-clock feeds
 //    nothing but the obs decision span and the ctrlstats watermarks.
 //  * Actions apply at the slot barrier, before any entity or middlebox
-//    touches the new slot, so serial and parallel(n) runs see identical
-//    knob settings for every packet.
+//    touches the new slot, so every packet of a slot sees the same knob
+//    settings in every replay.
 //  * dump() renders the full controller state in fixed order for the
 //    chaos-suite determinism snapshots.
 #pragma once

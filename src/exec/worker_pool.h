@@ -1,7 +1,8 @@
 // Persistent worker-thread pool with lock-free job hand-off.
 //
 // One coordinator thread dispatches batches of jobs; each job is pinned
-// to a worker (flow affinity - a flow's packets never migrate). Jobs
+// to a worker (the city pins each cell to one worker, so a cell's
+// packets never migrate between threads). Jobs
 // travel coordinator -> worker over per-worker SPSC rings; completion
 // records travel back over an MPSC drain (per-worker SPSC lanes). The
 // rings are the only shared state on the hot path; the mutex/condvar

@@ -8,10 +8,9 @@
 //
 // Determinism: each direction owns a splitmix64 PRNG seeded from the
 // plan seed, and draws exactly one stream of numbers in packet-send
-// order. Because per-link send order is identical under serial and
-// parallel execution (the engine's deferred-TX barrier flushes in
-// insertion order and flow-affine islands serialize each link), two runs
-// with the same seed replay bit-identically under any ExecPolicy.
+// order. Every link lives inside one cell, whose engine runs serially,
+// so per-link send order is fixed and two runs with the same seed
+// replay bit-identically, under a serial or a parallel city conductor.
 #pragma once
 
 #include <cstdint>

@@ -3,8 +3,8 @@
 //
 // Built by the collector at the slot barrier from that slot's merged
 // trace events, so the totals are a pure function of the event multiset:
-// serial and parallel(4) runs of the same seed produce identical budget
-// vectors (tests/test_obs.cpp BudgetSerialMatchesParallel).
+// serial and parallel city conductors produce identical budget vectors
+// (tests/test_obs.cpp SerialAndParallelProduceIdenticalTracesAndBudgets).
 #pragma once
 
 #include <cstdint>

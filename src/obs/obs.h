@@ -7,13 +7,14 @@
 // simulation's modeled results and its wall-clock cost are untouched
 // (bench_obs_overhead gates the enabled cost at <5%).
 //
-// Barrier: SlotEngine calls Collector::commit_slot() once per slot, on
-// the coordinator thread, after every worker has parked. The collector
-// drains all rings, sorts the slot's events into a deterministic total
-// order, folds them into per-slot budgets and mergeable histograms, and
-// appends them to the retained trace (bounded; overflow counted). All
-// derived state is therefore a pure function of the event multiset and
-// identical under ExecPolicy::serial and ::parallel(n).
+// Barrier: Collector::commit_slot() runs once per slot — from SlotEngine,
+// or in a city from the conductor after every worker has parked. The
+// collector drains all rings, sorts the slot's events into a
+// deterministic total order, folds them into per-slot budgets and
+// mergeable histograms, and appends them to the retained trace
+// (bounded; overflow counted). All derived state is therefore a pure
+// function of the event multiset and identical under a serial and a
+// parallel city conductor.
 //
 // Name/track registries are interned once per process and survive
 // start()/reset() so pre-cached ids (runtimes, ports, fault links, app

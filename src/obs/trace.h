@@ -4,11 +4,11 @@
 // Every instrumentation point in the stack (slot engine, middlebox
 // runtime, ports, fault layer, apps) emits 32-byte POD events stamped
 // with *virtual* nanoseconds — the simulation's modeled time, not wall
-// time. Because modeled time is deterministic under any ExecPolicy, a
-// serial run and a parallel(4) run of the same seed emit the same event
-// multiset; the collector merges the per-thread rings at the slot
-// barrier with a total order, so the two runs produce equivalent traces
-// (asserted by tests/test_obs.cpp).
+// time. Because modeled time does not depend on which thread ran a cell,
+// a serial and a parallel city conductor emit the same event multiset;
+// the collector merges the per-thread rings at the slot barrier with a
+// total order, so the two runs produce equivalent traces (asserted by
+// tests/test_obs.cpp).
 //
 // The ring mirrors the exec::SpscRing discipline (single producer = the
 // owning thread, single consumer = the coordinator at the barrier,

@@ -370,30 +370,7 @@ std::vector<UeId> AirModel::attached_ues(CellId cell) const {
   return out;
 }
 
-void AirModel::set_defer_prach(bool on) {
-  defer_prach_ = on;
-  prach_pending_.assign(cells_.size(), -1);
-}
-
-void AirModel::flush_prach_completions() {
-  if (prach_pending_.size() < cells_.size())
-    prach_pending_.resize(cells_.size(), -1);
-  const bool defer = defer_prach_;
-  defer_prach_ = false;  // re-enter complete_prach on the direct path
-  for (std::size_t c = 0; c < prach_pending_.size(); ++c) {
-    if (prach_pending_[c] >= 0) complete_prach(CellId(c), prach_pending_[c]);
-    prach_pending_[c] = -1;
-  }
-  defer_prach_ = defer;
-}
-
 void AirModel::complete_prach(CellId cell, std::int64_t slot) {
-  if (defer_prach_) {
-    // Disjoint per-cell slot record; applied at the barrier in cell order.
-    if (cell >= 0 && std::size_t(cell) < prach_pending_.size())
-      prach_pending_[std::size_t(cell)] = slot;
-    return;
-  }
   (void)slot;
   for (auto& u : ues_) {
     if (u.state == UeAttachState::WaitPrach && u.prach_target == cell) {
@@ -614,8 +591,6 @@ void AirModel::save_state(state::StateWriter& w) const {
     w.u64(u.ul_errors);
     w.u64(u.dl_unradiated);
   }
-  w.u32(std::uint32_t(prach_pending_.size()));
-  for (std::int64_t s : prach_pending_) w.i64(s);
 }
 
 void AirModel::load_state(state::StateReader& r) {
@@ -688,12 +663,8 @@ void AirModel::load_state(state::StateReader& r) {
     u.ul_errors = r.u64();
     u.dl_unradiated = r.u64();
   }
-  std::uint32_t n_pending = r.u32();
-  if (n_pending != prach_pending_.size()) {
-    // Size tracks cell count lazily; rebuild to the checkpointed shape.
-    prach_pending_.assign(n_pending, -1);
-  }
-  for (std::int64_t& s : prach_pending_) s = r.i64();
+  // Older writers appended a per-cell pending-PRACH record here (nothing
+  // is pending at the barrier); the section reader skips that tail.
 }
 
 }  // namespace rb

@@ -149,15 +149,6 @@ class AirModel {
   /// that rached this occasion towards the cell.
   void complete_prach(CellId cell, std::int64_t slot);
 
-  /// Deferred-PRACH mode (parallel execution engine): complete_prach only
-  /// records the detection against its own cell (a disjoint per-cell
-  /// write, safe from sharded DU workers); the engine applies pending
-  /// completions in cell order at the slot barrier. Attachment becomes
-  /// observable no later than it would serially (nothing reads it again
-  /// until the next slot).
-  void set_defer_prach(bool on);
-  void flush_prach_completions();
-
   /// Credit UL bits after the DU validated the combined U-plane payload.
   /// Returns the bits actually delivered (0 if the link failed).
   std::int64_t resolve_ul_alloc(CellId cell, std::int64_t slot,
@@ -307,8 +298,6 @@ class AirModel {
   std::vector<Cell> cells_;
   std::vector<Ru> rus_;
   std::vector<Ue> ues_;
-  bool defer_prach_ = false;
-  std::vector<std::int64_t> prach_pending_;  // per cell: slot or -1
 };
 
 }  // namespace rb

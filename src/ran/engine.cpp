@@ -1,18 +1,10 @@
 #include "ran/engine.h"
 
-#include <algorithm>
-#include <unordered_map>
-
-#include "exec/shard.h"
 #include "obs/obs.h"
 
 namespace rb {
 
-// ----------------------------------------------------------------------
-// Serial path (historical behaviour; the default)
-// ----------------------------------------------------------------------
-
-void SlotEngine::run_one_slot_serial() {
+void SlotEngine::run_one_slot() {
   const std::int64_t slot = clock_.total_slots();
   const std::int64_t t0 = clock_.elapsed_ns();
   for (auto& h : pre_hooks_) h(slot, t0);
@@ -51,255 +43,6 @@ void SlotEngine::run_one_slot_serial() {
   if (clock_.total_slots() == slot) {
     for (int i = 0; i < kSymbolsPerSlot; ++i) clock_.advance_symbol();
   }
-}
-
-// ----------------------------------------------------------------------
-// Parallel path
-// ----------------------------------------------------------------------
-
-void SlotEngine::set_exec_policy(const exec::ExecPolicy& p) {
-  policy_ = p;
-  islands_dirty_ = true;
-  if (!policy_.is_parallel()) {
-    pool_.reset();
-    air_->set_defer_prach(false);
-    for (auto* mb : mbs_) mb->set_defer_tx(false);
-  }
-}
-
-void SlotEngine::bind_affinity(DuModel& du, std::uint64_t key) {
-  affinity_.emplace_back(static_cast<const void*>(&du), key);
-  islands_dirty_ = true;
-}
-
-void SlotEngine::bind_affinity(RuModel& ru, std::uint64_t key) {
-  affinity_.emplace_back(static_cast<const void*>(&ru), key);
-  islands_dirty_ = true;
-}
-
-void SlotEngine::bind_affinity(Pumpable& mb, std::uint64_t key) {
-  affinity_.emplace_back(static_cast<const void*>(&mb), key);
-  islands_dirty_ = true;
-}
-
-exec::WorkerStats SlotEngine::exec_stats() const {
-  return pool_ ? pool_->merged_stats() : exec::WorkerStats{};
-}
-
-void SlotEngine::ensure_pool() {
-  const int n = std::max(1, policy_.n_workers);
-  if (!pool_ || pool_->size() != n)
-    pool_ = std::make_unique<exec::WorkerPool>(n);
-}
-
-void SlotEngine::plan_islands() {
-  islands_.clear();
-
-  // Dense-index the distinct keys, then union-find: an entity bound with
-  // several keys fuses them into one island (e.g. a DAS runtime bound
-  // with each member RU's flow key).
-  std::unordered_map<std::uint64_t, std::size_t> key_idx;
-  std::unordered_map<const void*, std::vector<std::size_t>> entity_keys;
-  for (const auto& [ptr, key] : affinity_) {
-    auto [it, fresh] = key_idx.emplace(key, key_idx.size());
-    (void)fresh;
-    entity_keys[ptr].push_back(it->second);
-  }
-  std::vector<std::size_t> parent(key_idx.size());
-  for (std::size_t i = 0; i < parent.size(); ++i) parent[i] = i;
-  auto find = [&](std::size_t x) {
-    while (parent[x] != x) x = parent[x] = parent[parent[x]];
-    return x;
-  };
-  for (const auto& [ptr, keys] : entity_keys) {
-    (void)ptr;
-    for (std::size_t i = 1; i < keys.size(); ++i)
-      parent[find(keys[i])] = find(keys[0]);
-  }
-
-  // Island slot per union-find root, created in engine insertion order
-  // (mbs, dus, rus) so the layout is reproducible and independent of the
-  // worker count. Root kNone collects unbound entities.
-  constexpr std::size_t kNone = std::size_t(-1);
-  auto root_of = [&](const void* ptr) {
-    auto it = entity_keys.find(ptr);
-    return it == entity_keys.end() ? kNone : find(it->second.front());
-  };
-  std::unordered_map<std::size_t, std::size_t> island_of;
-  auto island_for = [&](std::size_t root) -> Island& {
-    auto [it, fresh] = island_of.emplace(root, islands_.size());
-    if (fresh) islands_.emplace_back();
-    return islands_[it->second];
-  };
-
-  ran_sharded_ = true;
-  for (auto* mb : mbs_) {
-    const std::size_t root = root_of(static_cast<const void*>(mb));
-    Island& isl = island_for(root);
-    if (root == kNone || !mb->supports_deferred_tx())
-      isl.serial_mbs.push_back(mb);
-    else
-      isl.mbs.push_back(mb);
-  }
-  for (auto* du : dus_) {
-    const std::size_t root = root_of(static_cast<const void*>(du));
-    if (root == kNone) ran_sharded_ = false;
-    island_for(root).dus.push_back(du);
-  }
-  for (auto* ru : rus_) {
-    const std::size_t root = root_of(static_cast<const void*>(ru));
-    if (root == kNone) ran_sharded_ = false;
-    island_for(root).rus.push_back(ru);
-  }
-
-  // Static island -> worker map. Workers pump with TX deferred; the
-  // unbound island (and any runtime that cannot defer) stays on the
-  // coordinator with inline delivery.
-  const int n = std::max(1, policy_.n_workers);
-  int next = 0;
-  auto unkeyed = island_of.find(kNone);
-  for (std::size_t i = 0; i < islands_.size(); ++i) {
-    const bool serial_island = unkeyed != island_of.end() && unkeyed->second == i;
-    islands_[i].worker = serial_island ? -1 : next++ % n;
-  }
-  for (auto& isl : islands_)
-    for (auto* mb : isl.mbs) mb->set_defer_tx(isl.worker >= 0);
-
-  air_->set_defer_prach(true);
-  islands_dirty_ = false;
-}
-
-void SlotEngine::phase_trampoline(void* arg, int worker) {
-  (void)worker;
-  auto* t = static_cast<PhaseTask*>(arg);
-  t->eng->run_phase_task(*t);
-}
-
-void SlotEngine::run_phase_task(PhaseTask& t) {
-  Island& isl = *t.isl;
-  switch (t.ph) {
-    case Phase::DuBegin:
-      for (auto* du : isl.dus) du->begin_slot(t.slot, t.t0);
-      break;
-    case Phase::RuDl:
-      for (auto* ru : isl.rus) ru->process_dl(t.slot, t.t0);
-      break;
-    case Phase::RuUl:
-      for (auto* ru : isl.rus) ru->emit_ul(t.slot, t.t0);
-      break;
-    case Phase::DuRx:
-      for (auto* du : isl.dus) du->process_rx(t.slot, t.t0);
-      break;
-    case Phase::MbPump: {
-      bool moved = false;
-      for (auto* mb : isl.mbs) moved = mb->pump(t.slot, t.t0) || moved;
-      t.moved = moved;
-      break;
-    }
-  }
-}
-
-bool SlotEngine::run_sharded_phase(Phase ph, std::int64_t slot,
-                                   std::int64_t t0) {
-  tasks_.clear();
-  jobs_.clear();
-  for (auto& isl : islands_) {
-    if (isl.worker < 0) continue;
-    const bool relevant = ph == Phase::MbPump ? !isl.mbs.empty()
-                          : (ph == Phase::DuBegin || ph == Phase::DuRx)
-                              ? !isl.dus.empty()
-                              : !isl.rus.empty();
-    if (!relevant) continue;
-    tasks_.push_back(PhaseTask{this, &isl, ph, slot, t0, false});
-  }
-  for (auto& t : tasks_)
-    jobs_.push_back(exec::WorkerPool::Job{&phase_trampoline, &t, t.isl->worker});
-  if (!jobs_.empty()) pool_->run(jobs_);
-  bool moved = false;
-  for (const auto& t : tasks_) moved = moved || t.moved;
-  return moved;
-}
-
-void SlotEngine::run_one_slot_parallel() {
-  if (islands_dirty_) plan_islands();
-  ensure_pool();
-
-  const std::int64_t slot = clock_.total_slots();
-  const std::int64_t t0 = clock_.elapsed_ns();
-  for (auto& h : pre_hooks_) h(slot, t0);
-  if (!external_obs_) obs::slot_spans(slot, t0, slot_duration_ns(clock_.scs()));
-
-  // Single-threaded prologue: radio oracle, offered load, slot hooks.
-  air_->begin_slot(slot);
-  if (traffic_) traffic_(slot);
-  for (auto& h : begin_hooks_) h(slot);
-  for (auto* mb : mbs_) mb->begin_slot(slot);
-  for (auto* mb : mbs_) mb->flush_deferred_tx();
-
-  const bool shard_ran = ran_sharded_ && policy_.shard_ran_phases;
-
-  // Bulk-synchronous pump: workers pump their islands with TX deferred,
-  // then the coordinator (alone) flushes every deferred queue in engine
-  // insertion order and pumps the serial islands inline. The fixed flush
-  // order is what makes the packet-level outcome independent of worker
-  // count and scheduling.
-  auto pump_all = [&] {
-    for (int pass = 0; pass < 8; ++pass) {
-      bool moved = run_sharded_phase(Phase::MbPump, slot, t0);
-      for (auto& isl : islands_)
-        for (auto* mb : isl.serial_mbs) moved = mb->pump(slot, t0) || moved;
-      bool flushed = false;
-      for (auto* mb : mbs_) flushed = mb->flush_deferred_tx() || flushed;
-      if (!moved && !flushed) break;
-    }
-  };
-
-  if (shard_ran)
-    run_sharded_phase(Phase::DuBegin, slot, t0);
-  else
-    for (auto* du : dus_) du->begin_slot(slot, t0);
-  pump_all();
-
-  if (shard_ran)
-    run_sharded_phase(Phase::RuDl, slot, t0);
-  else
-    for (auto* ru : rus_) ru->process_dl(slot, t0);
-  air_->resolve_dl(slot);
-  if (shard_ran)
-    run_sharded_phase(Phase::RuUl, slot, t0);
-  else
-    for (auto* ru : rus_) ru->emit_ul(slot, t0);
-  pump_all();
-  if (shard_ran)
-    run_sharded_phase(Phase::DuRx, slot, t0);
-  else
-    for (auto* du : dus_) du->process_rx(slot, t0);
-  // PRACH detections recorded per cell during DuRx apply here, in cell
-  // order, matching what serial execution would have committed this slot.
-  air_->flush_prach_completions();
-
-  // Slot barrier: workers are parked (pool_->run returned), so draining
-  // their trace rings here is race-free.
-  if (!external_obs_ && obs::enabled())
-    obs::Collector::instance().commit_slot(slot, t0,
-                                           slot_duration_ns(clock_.scs()));
-  for (auto& h : end_hooks_) h(slot);
-
-  clock_.advance_slot();
-  if (clock_.total_slots() == slot) {
-    for (int i = 0; i < kSymbolsPerSlot; ++i) clock_.advance_symbol();
-  }
-}
-
-// ----------------------------------------------------------------------
-// Shared driver
-// ----------------------------------------------------------------------
-
-void SlotEngine::run_one_slot() {
-  if (policy_.is_parallel())
-    run_one_slot_parallel();
-  else
-    run_one_slot_serial();
 }
 
 void SlotEngine::run_slots(int n) {

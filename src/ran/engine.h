@@ -9,16 +9,17 @@
 //   6. RUs serve cached UL requests (data + PRACH),
 //   7. middleboxes pump again,
 //   8. DUs consume UL and complete PRACH detections.
+//
+// One engine runs its phases serially on the calling thread. Parallelism
+// lives one level up: the city conductor (src/city) runs many cell
+// engines side by side, one worker job per cell per slot.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/timing.h"
-#include "exec/exec_policy.h"
-#include "exec/worker_pool.h"
 #include "ran/air.h"
 #include "ran/du.h"
 #include "ran/ru.h"
@@ -35,18 +36,6 @@ class Pumpable {
   virtual bool pump(std::int64_t slot, std::int64_t slot_start_ns) = 0;
   /// Slot boundary notification (per-slot CPU/latency accounting resets).
   virtual void begin_slot(std::int64_t slot) { (void)slot; }
-
-  /// Deferred-TX protocol of the parallel execution engine. A pumpable
-  /// that supports it must, while defer mode is on, queue outbound packets
-  /// in pump()/begin_slot() instead of transmitting inline (inline Port
-  /// delivery mutates peer queues and switch FDBs, which other workers may
-  /// own). flush_deferred_tx() transmits the queue; the coordinator calls
-  /// it single-threaded at the barrier, in engine insertion order, which
-  /// is what keeps parallel packet-level results deterministic. Returns
-  /// true if any packet left. Default: unsupported (pumped serially).
-  virtual bool supports_deferred_tx() const { return false; }
-  virtual void set_defer_tx(bool on) { (void)on; }
-  virtual bool flush_deferred_tx() { return false; }
 };
 
 class SlotEngine {
@@ -58,31 +47,6 @@ class SlotEngine {
   void add_ru(RuModel& ru) { rus_.push_back(&ru); }
   void add_middlebox(Pumpable& mb) { mbs_.push_back(&mb); }
 
-  // --- parallel execution --------------------------------------------
-  /// Select the execution engine. Serial (the default) is the historical
-  /// single-threaded path, byte-identical to previous behaviour. Parallel
-  /// shards entities across a worker pool by flow affinity and runs each
-  /// slot as a sequence of barrier-synchronized phases; packet-level
-  /// results match serial execution (see DESIGN.md "Execution model").
-  /// Safe to call between slots; threads spin up lazily.
-  void set_exec_policy(const exec::ExecPolicy& p);
-  const exec::ExecPolicy& exec_policy() const { return policy_; }
-
-  /// Declare the flow-affinity key of an entity (exec::flow_key over its
-  /// RU/eAxC set; the Deployment builders do this). Entities sharing a
-  /// key — transitively — form one island, the unit of sharding: an
-  /// island's DU, RUs and middleboxes always run on the same worker, so
-  /// their inline port deliveries stay worker-local. Unbound entities
-  /// fall into a common serial island.
-  void bind_affinity(DuModel& du, std::uint64_t key);
-  void bind_affinity(RuModel& ru, std::uint64_t key);
-  void bind_affinity(Pumpable& mb, std::uint64_t key);
-
-  /// Merged per-worker execution stats (parallel mode only).
-  exec::WorkerStats exec_stats() const;
-  /// Number of affinity islands discovered (for bench/telemetry).
-  std::size_t num_islands() const { return islands_.size(); }
-
   /// Called at the start of every slot with the slot index - used by the
   /// traffic generators to feed backlog into the DUs.
   void set_traffic_hook(std::function<void(std::int64_t)> hook) {
@@ -91,8 +55,8 @@ class SlotEngine {
 
   /// Register an extra begin-of-slot hook (fault links advance flap
   /// schedules and release reorder holds here). Hooks run after the
-  /// traffic hook, before any entity's begin_slot, always on the
-  /// coordinator thread and in registration order.
+  /// traffic hook, before any entity's begin_slot, in registration
+  /// order.
   void add_begin_slot_hook(std::function<void(std::int64_t)> hook) {
     begin_hooks_.push_back(std::move(hook));
   }
@@ -137,36 +101,7 @@ class SlotEngine {
   }
 
  private:
-  /// One shard of the deployment: entities reachable from each other
-  /// through shared affinity keys. Everything in an island runs on one
-  /// worker per phase, so its inline port deliveries never race.
-  struct Island {
-    std::vector<DuModel*> dus;
-    std::vector<RuModel*> rus;
-    std::vector<Pumpable*> mbs;     // deferred-TX capable
-    std::vector<Pumpable*> serial_mbs;  // pumped by the coordinator
-    int worker = 0;
-  };
-
-  enum class Phase : std::uint8_t { DuBegin, RuDl, RuUl, DuRx, MbPump };
-  struct PhaseTask {
-    SlotEngine* eng = nullptr;
-    Island* isl = nullptr;
-    Phase ph = Phase::MbPump;
-    std::int64_t slot = 0;
-    std::int64_t t0 = 0;
-    bool moved = false;  // MbPump result, written by the owning worker
-  };
-
   void run_one_slot();
-  void run_one_slot_serial();
-  void run_one_slot_parallel();
-  void plan_islands();
-  void ensure_pool();
-  static void phase_trampoline(void* arg, int worker);
-  void run_phase_task(PhaseTask& t);
-  /// Dispatch `ph` over every island; returns true if any MbPump moved.
-  bool run_sharded_phase(Phase ph, std::int64_t slot, std::int64_t t0);
 
   AirModel* air_;
   SlotClock clock_;
@@ -178,15 +113,6 @@ class SlotEngine {
   std::vector<std::function<void(std::int64_t, std::int64_t)>> pre_hooks_;
   std::vector<std::function<void(std::int64_t)>> end_hooks_;
   bool external_obs_ = false;
-
-  exec::ExecPolicy policy_{};
-  std::unique_ptr<exec::WorkerPool> pool_;
-  std::vector<std::pair<const void*, std::uint64_t>> affinity_;  // entity→key
-  std::vector<Island> islands_;
-  bool islands_dirty_ = true;
-  bool ran_sharded_ = false;  // DU/RU phases may run on workers
-  std::vector<PhaseTask> tasks_;             // reused per phase
-  std::vector<exec::WorkerPool::Job> jobs_;  // reused per phase
 };
 
 }  // namespace rb

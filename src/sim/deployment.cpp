@@ -2,16 +2,7 @@
 
 #include <stdexcept>
 
-#include "exec/shard.h"
-
 namespace rb {
-namespace {
-// Canonical flow key of an RU's fronthaul streams. Every entity touching
-// the RU (DU, middlebox runtime, the RU itself) binds to this key, so the
-// engine's union-find fuses them into one execution island; deployments
-// sharing an RU merge automatically.
-std::uint64_t ru_key(RuId id) { return exec::flow_key(std::uint32_t(id), 0); }
-}  // namespace
 
 Deployment::Deployment(ChannelParams channel, Scs scs)
     : air(ChannelModel(channel), scs), engine(air, scs) {
@@ -87,8 +78,6 @@ void Deployment::connect_direct(DuHandle& du, RuHandle& ru, int prb_offset,
                                 std::vector<LayerMap> layers) {
   Port::connect(*du.port, *ru.port, /*latency_ns=*/1'000);
   air.assign_ru(du.cell, ru.id, prb_offset, std::move(layers));
-  engine.bind_affinity(*du.du, ru_key(ru.id));
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
   // The DU addresses MacAddr::ru(du_index); point it at the real RU.
   // (Direct wire: addressing is checked by the RU only via eth parse.)
 }
@@ -133,11 +122,6 @@ MiddleboxRuntime& Deployment::add_das(DuHandle& du,
   }
 
   engine.add_middlebox(*rt);
-  for (auto* r : ru_list) {
-    engine.bind_affinity(*r->ru, ru_key(r->id));
-    engine.bind_affinity(*du.du, ru_key(r->id));
-    engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(r->id));
-  }
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
@@ -192,34 +176,30 @@ MiddleboxRuntime& Deployment::add_dmimo(DuHandle& du,
   }
 
   engine.add_middlebox(*rt);
-  for (auto* r : ru_list) {
-    engine.bind_affinity(*r->ru, ru_key(r->id));
-    engine.bind_affinity(*du.du, ru_key(r->id));
-    engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(r->id));
-  }
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
 }
 
-MiddleboxRuntime& Deployment::add_rushare(const std::vector<DuHandle*>& du_list,
-                                          RuHandle& ru, DriverKind driver,
-                                          int shift_sc) {
+MiddleboxRuntime& Deployment::add_rushare(
+    const std::vector<ShareTenant>& tenants, RuHandle& ru, DriverKind driver,
+    int shift_sc) {
   RuShareConfig cfg;
   cfg.ru_mac = ru.mac;
   const RuSite& site = air.ru(ru.id);
   cfg.ru_n_prb = prbs_for_bandwidth(site.bandwidth, Scs::kHz30);
   cfg.ru_center_freq = site.center_freq;
   cfg.shift_sc = shift_sc;
-  for (auto* d : du_list) {
+  for (const ShareTenant& t : tenants) {
+    const DuConfig& dc = t.du->config();
     ShareDu sd;
-    sd.mac = d->du->config().du_mac;
-    sd.du_id = d->du->config().du_id;
-    sd.n_prb = d->du->config().cell.n_prb();
-    sd.center_freq = d->du->config().cell.center_freq;
-    sd.prb_offset = prb_offset_in_ru(d->du->config().cell, site);
+    sd.mac = dc.du_mac;
+    sd.du_id = dc.du_id;
+    sd.n_prb = dc.cell.n_prb();
+    sd.center_freq = dc.cell.center_freq;
+    sd.prb_offset = prb_offset_in_ru(dc.cell, site);
     cfg.dus.push_back(sd);
-    air.assign_ru(d->cell, ru.id, sd.prb_offset);
+    air.assign_ru(t.cell, ru.id, sd.prb_offset);
   }
   auto app = std::make_unique<RuShareMiddlebox>(cfg);
 
@@ -227,7 +207,7 @@ MiddleboxRuntime& Deployment::add_rushare(const std::vector<DuHandle*>& du_list,
   rc.name = name_prefix + "rushare" + std::to_string(runtimes.size());
   rc.cell = cell_label;
   // South-side framing: the RU's carrier defines numPrbu==0 semantics.
-  rc.fh = du_list.front()->du->fh();
+  rc.fh = tenants.front().du->fh();
   rc.fh.carrier_prbs = cfg.ru_n_prb;
   rc.driver = driver;
   auto rt = std::make_unique<MiddleboxRuntime>(rc, *app);
@@ -235,17 +215,14 @@ MiddleboxRuntime& Deployment::add_rushare(const std::vector<DuHandle*>& du_list,
   Port& south = new_port(rc.name + ".south");
   rt->add_port("south", south);  // index 0 == RuShareMiddlebox::kSouth
   Port::connect(south, *ru.port, 1'000);
-  for (std::size_t i = 0; i < du_list.size(); ++i) {
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
     Port& north = new_port(rc.name + ".north" + std::to_string(i));
     // Each DU link is parsed with that DU's own carrier provisioning.
-    rt->add_port("north" + std::to_string(i), north, du_list[i]->du->fh());
-    Port::connect(*du_list[i]->port, north, 1'000);
+    rt->add_port("north" + std::to_string(i), north, tenants[i].du->fh());
+    Port::connect(*tenants[i].port, north, tenants[i].latency_ns);
   }
 
   engine.add_middlebox(*rt);
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
-  engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(ru.id));
-  for (auto* d : du_list) engine.bind_affinity(*d->du, ru_key(ru.id));
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
@@ -273,9 +250,6 @@ MiddleboxRuntime& Deployment::add_prbmon(DuHandle& du, RuHandle& ru,
   air.assign_ru(du.cell, ru.id, 0);
 
   engine.add_middlebox(*rt);
-  engine.bind_affinity(*du.du, ru_key(ru.id));
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
-  engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(ru.id));
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();
@@ -311,10 +285,6 @@ MiddleboxRuntime& Deployment::add_failover(DuHandle& primary,
   air.assign_ru(standby.cell, ru.id, 0);
 
   engine.add_middlebox(*rt);
-  engine.bind_affinity(*primary.du, ru_key(ru.id));
-  engine.bind_affinity(*standby.du, ru_key(ru.id));
-  engine.bind_affinity(*ru.ru, ru_key(ru.id));
-  engine.bind_affinity(static_cast<Pumpable&>(*rt), ru_key(ru.id));
   apps.push_back(std::move(app));
   runtimes.push_back(std::move(rt));
   return *runtimes.back();

@@ -72,10 +72,25 @@ class Deployment {
                               DriverKind driver = DriverKind::Dpdk,
                               bool copy_ssb = true);
 
+  /// One tenant of an RU share. `port` is the far end of the share's
+  /// north link: the DU's own port, or a city xlink endpoint when the DU
+  /// lives in another shard. `cell` is the tenant's cell in this
+  /// deployment's air, which the shared RU radiates. A DuHandle of this
+  /// deployment converts implicitly (its own port and cell, 1 us link).
+  struct ShareTenant {
+    ShareTenant(const DuHandle* h) : du(h->du), port(h->port), cell(h->cell) {}
+    ShareTenant(DuModel* d, Port* p, CellId c, std::int64_t latency = 1'000)
+        : du(d), port(p), cell(c), latency_ns(latency) {}
+    DuModel* du;
+    Port* port;
+    CellId cell;
+    std::int64_t latency_ns = 1'000;
+  };
+
   /// RU-sharing middlebox: several DUs over one RU (paper 4.3).
   /// PRB offsets are derived from the DU/RU center frequencies (aligned
   /// grids, Appendix A.1.1) unless `shift_sc` forces misalignment.
-  MiddleboxRuntime& add_rushare(const std::vector<DuHandle*>& dus,
+  MiddleboxRuntime& add_rushare(const std::vector<ShareTenant>& tenants,
                                 RuHandle& ru,
                                 DriverKind driver = DriverKind::Dpdk,
                                 int shift_sc = 0);

@@ -13,9 +13,9 @@
 //    controller thresholds, RU uplink BFP widths); the manager diffs the
 //    request against live state, queues only the deltas and applies them
 //    at the engine's begin-of-slot barrier - before any entity or
-//    middlebox touches the new slot, so serial and parallel(n) runs see
-//    identical knob settings for every packet and no packet is dropped by
-//    the act of reconfiguring.
+//    middlebox touches the new slot, so every packet of a slot sees the
+//    same knob settings and no packet is dropped by the act of
+//    reconfiguring.
 #pragma once
 
 #include <cstdint>

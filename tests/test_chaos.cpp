@@ -1,8 +1,7 @@
 // Seeded chaos soak: every middlebox deployment runs for thousands of
 // slots under mixed fronthaul faults (loss, bursts, jitter, reordering,
 // duplication, corruption, flaps) and must neither crash nor stall, keep
-// carrying traffic, and replay bit-identically for the same seed under
-// both serial and parallel execution.
+// carrying traffic, and replay bit-identically for the same seed.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -28,8 +27,7 @@ struct ChaosDasRig {
   MiddleboxRuntime* rt = nullptr;
   std::vector<UeId> ues;
 
-  explicit ChaosDasRig(const exec::ExecPolicy& policy = {}) {
-    d.engine.set_exec_policy(policy);
+  ChaosDasRig() {
     du = d.add_du(cell100(), srsran_profile(), 0);
     std::vector<Deployment::RuHandle*> ptrs;
     for (int f = 0; f < 3; ++f) {
@@ -85,9 +83,8 @@ std::string snapshot(Deployment& d, const std::vector<UeId>& ues) {
   return os.str();
 }
 
-std::string run_das_chaos(std::uint64_t seed, const exec::ExecPolicy& policy,
-                          int slots) {
-  ChaosDasRig rig(policy);
+std::string run_das_chaos(std::uint64_t seed, int slots) {
+  ChaosDasRig rig;
   EXPECT_TRUE(rig.d.attach_all(600));
   rig.add_chaos(seed);
   rig.d.engine.run_slots(slots);
@@ -126,34 +123,25 @@ TEST(ChaosDas, SoakSurvivesMixedFaults) {
 }
 
 TEST(ChaosDas, SameSeedReplaysByteIdentical) {
-  const std::string a = run_das_chaos(42, exec::ExecPolicy::serial(), 600);
-  const std::string b = run_das_chaos(42, exec::ExecPolicy::serial(), 600);
+  const std::string a = run_das_chaos(42, 600);
+  const std::string b = run_das_chaos(42, 600);
   EXPECT_EQ(a, b);
-  const std::string c = run_das_chaos(43, exec::ExecPolicy::serial(), 600);
+  const std::string c = run_das_chaos(43, 600);
   EXPECT_NE(a, c);  // the seed is actually load-bearing
-}
-
-TEST(ChaosDas, ParallelMatchesSerial) {
-  const std::string serial =
-      run_das_chaos(42, exec::ExecPolicy::serial(), 600);
-  const std::string parallel =
-      run_das_chaos(42, exec::ExecPolicy::parallel(4), 600);
-  EXPECT_EQ(serial, parallel);
 }
 
 // ----------------------------------------------------------------------
 // Burst-pipeline determinism: the pump moves packets in 32-slot chunks;
-// the chunking must be invisible to the packet-level outcome.
+// the chunking must replay exactly for the same seed.
 // ----------------------------------------------------------------------
 
 /// Bursty-arrival cocktail: heavy jitter smears per-symbol streams so
 /// pumps see anything from 1-packet stragglers to multi-chunk pileups;
 /// reorder + duplication mix ports and break arrival monotonicity.
-std::string run_das_bursty(std::uint64_t seed, const exec::ExecPolicy& policy,
-                           int slots,
+std::string run_das_bursty(std::uint64_t seed, int slots,
                            MiddleboxRuntime::BurstHist* size_hist,
                            MiddleboxRuntime::BurstHist* occ_hist) {
-  ChaosDasRig rig(policy);
+  ChaosDasRig rig;
   EXPECT_TRUE(rig.d.attach_all(600));
   FaultPlan ul0;  // floor 0 uplink: strong jitter (straggler generator)
   ul0.jitter_ns = 120'000;
@@ -176,38 +164,22 @@ std::string run_das_bursty(std::uint64_t seed, const exec::ExecPolicy& policy,
   return snapshot(rig.d, rig.ues);
 }
 
-TEST(BurstDeterminism, BurstySoakSerialMatchesParallel4) {
-  // 2000-slot soak under the bursty cocktail: the serial and parallel(4)
-  // engines chunk pumps differently (direct vs barrier-deferred TX), yet
-  // every counter, fault stat and air-interface bit count must agree.
-  constexpr int kSlots = 2000;
-  MiddleboxRuntime::BurstHist size_s{}, occ_s{};
-  const std::string serial =
-      run_das_bursty(7, exec::ExecPolicy::serial(), kSlots, &size_s, &occ_s);
-  const std::string parallel =
-      run_das_bursty(7, exec::ExecPolicy::parallel(4), kSlots, nullptr,
-                     nullptr);
-  EXPECT_EQ(serial, parallel);
+TEST(BurstDeterminism, BurstySoakSameSeedReplaysHistograms) {
+  // Same seed replays the exact pump chunking, histograms included
+  // (they are checkpointed state).
+  MiddleboxRuntime::BurstHist sa{}, oa{}, sb{}, ob{};
+  const std::string a = run_das_bursty(11, 600, &sa, &oa);
+  const std::string b = run_das_bursty(11, 600, &sb, &ob);
+  EXPECT_EQ(a, b);
 
   // The soak exercised the arrival shapes the burst pipeline
   // special-cases: small straggler drains (jitter/reorder releases) and
   // pileups deep enough to fill whole 32-slot dispatch chunks (a drain
   // beyond one chunk implies at least one full chunk). Exact 1-packet
   // bursts are covered deterministically by Runtime.BurstHistograms.
-  ASSERT_GT(occ_s.count, 0u);
-  EXPECT_GT(occ_s.bucket[2], 0u);                    // <=4-packet chunks
-  EXPECT_GT(size_s.count - size_s.bucket[5], 0u);    // pumps > 32 packets
-}
-
-TEST(BurstDeterminism, BurstySoakSameSeedReplaysHistograms) {
-  // Same seed + same mode replays the exact pump chunking, histograms
-  // included (they are checkpointed state).
-  MiddleboxRuntime::BurstHist sa{}, oa{}, sb{}, ob{};
-  const std::string a =
-      run_das_bursty(11, exec::ExecPolicy::serial(), 600, &sa, &oa);
-  const std::string b =
-      run_das_bursty(11, exec::ExecPolicy::serial(), 600, &sb, &ob);
-  EXPECT_EQ(a, b);
+  ASSERT_GT(oa.count, 0u);
+  EXPECT_GT(oa.bucket[2], 0u);                 // <=4-packet chunks
+  EXPECT_GT(sa.count - sa.bucket[5], 0u);      // pumps > 32 packets
   EXPECT_EQ(sa.bucket, sb.bucket);
   EXPECT_EQ(sa.count, sb.count);
   EXPECT_EQ(sa.sum, sb.sum);

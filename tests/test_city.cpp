@@ -9,6 +9,7 @@
 
 #include "city/city.h"
 #include "core/mgmt.h"
+#include "job_threads.h"
 #include "ran/vendor.h"
 #include "sim/campus.h"
 
@@ -150,21 +151,29 @@ TEST(CityNeutralHost, GuestAttachesAndCarriesTrafficAcrossShards) {
 
 // --- determinism: serial == parallel(N), city-wide --------------------
 
-std::string run_city(const CityConfig& cfg, int slots) {
+struct CityRun {
+  std::string fingerprint;
+  std::size_t job_threads = 0;  // distinct threads that ran cell jobs
+};
+
+CityRun run_city(const CityConfig& cfg, int slots) {
   auto c = build_city(cfg);
+  JobThreads threads(*c);
   EXPECT_TRUE(c->attach_all(800));
   c->run_slots(slots);
-  return c->fingerprint();
+  return {c->fingerprint(), threads.distinct()};
 }
 
 TEST(CityDeterminism, SerialEqualsParallelPlainCells) {
   CityConfig cfg;
   cfg.n_cells = 4;
   cfg.workers = 0;
-  const std::string serial = run_city(cfg, 300);
+  const CityRun serial = run_city(cfg, 300);
   cfg.workers = 3;
-  const std::string parallel = run_city(cfg, 300);
-  EXPECT_EQ(serial, parallel);
+  const CityRun parallel = run_city(cfg, 300);
+  EXPECT_EQ(serial.fingerprint, parallel.fingerprint);
+  EXPECT_EQ(serial.job_threads, 1u);
+  EXPECT_GE(parallel.job_threads, 2u);
 }
 
 TEST(CityChaosSoak, SerialEqualsParallelUnderFaultsWithNeutralHost) {
@@ -179,11 +188,12 @@ TEST(CityChaosSoak, SerialEqualsParallelUnderFaultsWithNeutralHost) {
   cfg.faults = true;
   cfg.controller = true;
   cfg.workers = 0;
-  const std::string serial = run_city(cfg, 2000);
+  const CityRun serial = run_city(cfg, 2000);
   cfg.workers = 2;
-  const std::string parallel = run_city(cfg, 2000);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_NE(serial.find("share:"), std::string::npos);
+  const CityRun parallel = run_city(cfg, 2000);
+  EXPECT_EQ(serial.fingerprint, parallel.fingerprint);
+  EXPECT_NE(serial.fingerprint.find("share:"), std::string::npos);
+  EXPECT_GE(parallel.job_threads, 2u);
 }
 
 // --- whole-city checkpoint/restore ------------------------------------
@@ -206,6 +216,34 @@ TEST(CityCheckpoint, RestoredCityResumesBitIdentically) {
   EXPECT_EQ(b->current_slot(), a->current_slot() - 200);
   b->run_slots(200);
   EXPECT_EQ(b->fingerprint(), uninterrupted);
+}
+
+TEST(CityCheckpoint, SerialCheckpointResumesOnParallelConductor) {
+  // Execution mode is not state: a checkpoint of a serial city restores
+  // into a 2-worker build of the same topology and resumes bit-identically
+  // to the uninterrupted serial run.
+  CityConfig cfg;
+  cfg.n_cells = 4;
+  cfg.neutral_host = true;
+  cfg.faults = true;
+  cfg.controller = true;
+  cfg.workers = 0;
+
+  auto a = build_city(cfg);
+  ASSERT_TRUE(a->attach_all(800));
+  a->run_slots(100);
+  const std::vector<std::uint8_t> blob = a->checkpoint();
+  a->run_slots(300);
+  const std::string uninterrupted = a->fingerprint();
+
+  cfg.workers = 2;
+  auto b = build_city(cfg);
+  JobThreads threads(*b);
+  const RestoreResult rr = b->restore(blob);
+  ASSERT_TRUE(rr.ok()) << rr.detail;
+  b->run_slots(300);
+  EXPECT_EQ(b->fingerprint(), uninterrupted);
+  EXPECT_GE(threads.distinct(), 2u);
 }
 
 TEST(CityCheckpoint, MismatchedTopologyIsRejectedTyped) {

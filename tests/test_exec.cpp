@@ -1,19 +1,15 @@
-// Parallel execution engine: ring primitives, worker pool, and the core
-// guarantee — a flow-sharded parallel slot produces packet-for-packet the
-// same results as the serial engine.
+// Execution primitives under the city conductor: SPSC ring, MPSC drain,
+// worker pool, plus telemetry interning and publish reentrancy.
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
-#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/telemetry.h"
 #include "exec/mpsc_drain.h"
-#include "exec/shard.h"
 #include "exec/spsc_ring.h"
 #include "exec/worker_pool.h"
-#include "sim/deployment.h"
 
 namespace rb {
 namespace {
@@ -115,22 +111,6 @@ TEST(MpscDrain, MultiProducerStressKeepsPerProducerFifo) {
 }
 
 // ----------------------------------------------------------------------
-// Flow sharding
-// ----------------------------------------------------------------------
-
-TEST(Shard, StableKeysAndBoundedShards) {
-  const std::uint64_t k = exec::flow_key(7, 2);
-  EXPECT_EQ(k, exec::flow_key(7, 2));                 // reproducible
-  EXPECT_NE(k, exec::flow_key(7, 3));
-  EXPECT_NE(k, exec::flow_key(8, 2));
-  EXPECT_NE(exec::flow_key_extend(k, 1), k);
-  for (std::size_t n = 1; n <= 16; ++n)
-    for (std::uint32_t ru = 0; ru < 64; ++ru)
-      EXPECT_LT(exec::shard_of(exec::flow_key(ru, 0), n), n);
-  EXPECT_EQ(exec::shard_of(k, 0), 0u);
-}
-
-// ----------------------------------------------------------------------
 // Worker pool
 // ----------------------------------------------------------------------
 
@@ -199,117 +179,6 @@ TEST(TelemetryExec, SubscribingFromInsideCallbackIsSafe) {
   t.publish({1, "k", 2.0});
   EXPECT_EQ(outer, 2);
   EXPECT_EQ(inner, 1);  // late subscriber sees only the second sample
-}
-
-// ----------------------------------------------------------------------
-// Determinism: parallel slot == serial slot, packet for packet
-// ----------------------------------------------------------------------
-
-// The DAS e2e scenario (one 100 MHz cell over five floor RUs) plus a
-// second independent direct-wired cell, so the parallel engine has more
-// than one island to spread.
-struct Fingerprint {
-  std::map<std::string, std::uint64_t> counters;
-  std::vector<std::uint64_t> port_bytes;  // tx/rx bytes per port
-  std::uint64_t dl_bits = 0, ul_bits = 0;
-  std::int64_t slot = 0;
-
-  bool operator==(const Fingerprint&) const = default;
-};
-
-Fingerprint run_scenario(const exec::ExecPolicy& policy, int slots) {
-  Deployment d;
-  CellConfig c;
-  c.bandwidth = MHz(100);
-  c.max_layers = 4;
-  c.pci = 1;
-  auto du = d.add_du(c, srsran_profile(), 0);
-  std::vector<Deployment::RuHandle> rus;
-  std::vector<Deployment::RuHandle*> ptrs;
-  for (int f = 0; f < 5; ++f) {
-    RuSite site;
-    site.pos = d.plan.ru_position(f, 1);
-    site.n_antennas = 4;
-    site.bandwidth = MHz(100);
-    site.center_freq = c.center_freq;
-    rus.push_back(d.add_ru(site, std::uint8_t(f), du.du->fh()));
-  }
-  for (auto& r : rus) ptrs.push_back(&r);
-  d.add_das(du, ptrs, DriverKind::Dpdk, 2);
-
-  // Independent second cell on its own island.
-  CellConfig c2;
-  c2.bandwidth = MHz(100);
-  c2.max_layers = 4;
-  c2.pci = 2;
-  c2.center_freq = c.center_freq + MHz(120);
-  auto du2 = d.add_du(c2, srsran_profile(), 1);
-  RuSite s2;
-  s2.pos = d.plan.ru_position(0, 3);
-  s2.n_antennas = 4;
-  s2.bandwidth = MHz(100);
-  s2.center_freq = c2.center_freq;
-  auto ru2 = d.add_ru(s2, 5, du2.du->fh());
-  d.connect_direct(du2, ru2);
-
-  std::vector<UeId> ues;
-  for (int f = 0; f < 5; ++f)
-    ues.push_back(d.add_ue(d.plan.near_ru(f, 1, 4.0), &du, 200.0, 20.0));
-  ues.push_back(d.add_ue(d.plan.near_ru(0, 3, 4.0), &du2, 200.0, 20.0, 2));
-
-  d.engine.set_exec_policy(policy);
-  d.engine.run_slots(slots);
-
-  Fingerprint fp;
-  fp.slot = d.engine.current_slot();
-  for (const auto& rt : d.runtimes)
-    for (const auto& [k, v] : rt->telemetry().counters())
-      fp.counters[rt->config().name + "." + k] = v;
-  for (const auto& p : d.ports) {
-    fp.port_bytes.push_back(p->stats().tx_bytes);
-    fp.port_bytes.push_back(p->stats().rx_bytes);
-  }
-  for (UeId ue : ues) {
-    fp.dl_bits += d.air.dl_bits(ue);
-    fp.ul_bits += d.air.ul_bits(ue);
-  }
-  return fp;
-}
-
-TEST(ExecDeterminism, ParallelMatchesSerialPacketForPacket) {
-  constexpr int kSlots = 240;  // covers attach, PRACH, and steady traffic
-  const Fingerprint serial = run_scenario(exec::ExecPolicy::serial(), kSlots);
-  const Fingerprint par1 = run_scenario(exec::ExecPolicy::parallel(1), kSlots);
-  const Fingerprint par4 = run_scenario(exec::ExecPolicy::parallel(4), kSlots);
-
-  ASSERT_GT(serial.dl_bits, 0u);
-  ASSERT_GT(serial.ul_bits, 0u);
-  EXPECT_GT(serial.counters.at("das0.pkts_replicated"), 0u);
-
-  EXPECT_EQ(par1, serial);
-  EXPECT_EQ(par4, serial);
-  EXPECT_EQ(par4, par1);
-}
-
-TEST(ExecDeterminism, PolicyCanFlipBackToSerialMidRun) {
-  Deployment d;
-  CellConfig c;
-  c.bandwidth = MHz(40);
-  auto du = d.add_du(c, srsran_profile(), 0);
-  RuSite site;
-  site.pos = d.plan.ru_position(0, 1);
-  site.bandwidth = MHz(40);
-  site.center_freq = c.center_freq;
-  auto ru = d.add_ru(site, 0, du.du->fh());
-  d.connect_direct(du, ru);
-  const UeId ue = d.add_ue(d.plan.near_ru(0, 1, 4.0), &du, 50.0, 5.0);
-
-  d.engine.set_exec_policy(exec::ExecPolicy::parallel(2));
-  d.engine.run_slots(120);
-  d.engine.set_exec_policy(exec::ExecPolicy::serial());
-  d.engine.run_slots(120);
-  EXPECT_TRUE(d.air.is_attached(ue));
-  EXPECT_GT(d.air.dl_bits(ue), 0u);
 }
 
 }  // namespace

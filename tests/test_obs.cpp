@@ -1,17 +1,20 @@
 // Observability subsystem: trace ring, histograms, slot budgets, the
-// serial-vs-parallel trace equivalence guarantee, exporters, and the
+// serial-vs-parallel city trace equivalence guarantee, exporters, and the
 // telemetry interning satellites.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "city/city.h"
 #include "common/thread_flags.h"
 #include "core/mgmt.h"
+#include "job_threads.h"
 #include "obs/export.h"
 #include "obs/histogram.h"
 #include "obs/obs.h"
@@ -255,12 +258,25 @@ struct ObsRun {
   std::uint64_t dropped = 0;
 };
 
-/// The exec-determinism scenario (one 100 MHz cell over five DAS RUs plus
-/// an independent direct-wired second cell), run with collection on;
-/// optionally a delayed + lossy fronthaul link to RU 0.
-ObsRun run_traced(const exec::ExecPolicy& policy, int slots,
-                  bool with_fault = false) {
+/// Collect one run: start a fresh dataset, run the slots, stop.
+ObsRun collect(const std::function<void()>& run_slots) {
   auto& col = obs::Collector::instance();
+  col.start();  // fresh dataset per run; interned ids persist
+  run_slots();
+  col.stop();
+
+  ObsRun r;
+  r.budgets = col.budgets();
+  r.hists = col.hists();
+  r.events = col.events();
+  r.dropped = col.dropped();
+  return r;
+}
+
+/// One 100 MHz cell over five DAS RUs plus an independent direct-wired
+/// second cell, run with collection on; optionally a delayed + lossy
+/// fronthaul link to RU 0.
+ObsRun run_traced(int slots, bool with_fault = false) {
   Deployment d;
   CellConfig c;
   c.bandwidth = MHz(100);
@@ -307,39 +323,51 @@ ObsRun run_traced(const exec::ExecPolicy& policy, int slots,
     d.add_ue(d.plan.near_ru(f, 1, 4.0), &du, 200.0, 20.0);
   d.add_ue(d.plan.near_ru(0, 3, 4.0), &du2, 200.0, 20.0, 2);
 
-  d.engine.set_exec_policy(policy);
-  col.start();  // fresh dataset per run; interned ids persist
-  d.engine.run_slots(slots);
-  col.stop();
+  return collect([&] { d.engine.run_slots(slots); });
+}
 
-  ObsRun r;
-  r.budgets = col.budgets();
-  r.hists = col.hists();
-  r.events = col.events();
-  r.dropped = col.dropped();
+/// A 4-cell city with a neutral-host RU shared across shards, attached
+/// untraced, then `slots` collected on a conductor with `workers` threads
+/// (0 = serial). `job_threads` receives how many distinct threads ran
+/// cell jobs during the traced slots.
+ObsRun run_city_traced(int workers, int slots,
+                       std::size_t* job_threads = nullptr) {
+  city::CityConfig cfg;
+  cfg.n_cells = 4;
+  cfg.neutral_host = true;
+  cfg.workers = workers;
+  auto c = city::build_city(cfg);
+  EXPECT_TRUE(c->attach_all(800));
+  JobThreads threads(*c);
+  ObsRun r = collect([&] { c->run_slots(slots); });
+  if (job_threads) *job_threads = threads.distinct();
   return r;
 }
 
 TEST(ObsE2E, SerialAndParallelProduceIdenticalTracesAndBudgets) {
+  // Cell jobs of the parallel conductor emit into their own threads'
+  // trace rings; the barrier merge must make that invisible.
   constexpr int kSlots = 60;
-  const ObsRun serial = run_traced(exec::ExecPolicy::serial(), kSlots);
-  const ObsRun par4 = run_traced(exec::ExecPolicy::parallel(4), kSlots);
+  std::size_t par_threads = 0;
+  const ObsRun serial = run_city_traced(0, kSlots);
+  const ObsRun par3 = run_city_traced(3, kSlots, &par_threads);
+  EXPECT_GE(par_threads, 2u);
 
   ASSERT_EQ(serial.budgets.size(), std::size_t(kSlots));
-  ASSERT_EQ(par4.budgets.size(), std::size_t(kSlots));
+  ASSERT_EQ(par3.budgets.size(), std::size_t(kSlots));
   EXPECT_EQ(serial.dropped, 0u);
-  EXPECT_EQ(par4.dropped, 0u);
+  EXPECT_EQ(par3.dropped, 0u);
 
   // Per-slot budgets must match slot for slot...
   for (int s = 0; s < kSlots; ++s) {
     SCOPED_TRACE(s);
-    EXPECT_EQ(serial.budgets[std::size_t(s)], par4.budgets[std::size_t(s)]);
+    EXPECT_EQ(serial.budgets[std::size_t(s)], par3.budgets[std::size_t(s)]);
   }
   // ...as must the merged histograms and the full retained event stream.
-  EXPECT_EQ(serial.hists, par4.hists);
-  ASSERT_EQ(serial.events.size(), par4.events.size());
+  EXPECT_EQ(serial.hists, par3.hists);
+  ASSERT_EQ(serial.events.size(), par3.events.size());
   EXPECT_TRUE(std::equal(serial.events.begin(), serial.events.end(),
-                         par4.events.begin()));
+                         par3.events.begin()));
 
   // And the run actually exercised the stack: handler time was recorded.
   std::uint64_t busy = 0;
@@ -348,7 +376,7 @@ TEST(ObsE2E, SerialAndParallelProduceIdenticalTracesAndBudgets) {
 }
 
 TEST(ObsE2E, BudgetAttributionIsConsistent) {
-  const ObsRun r = run_traced(exec::ExecPolicy::serial(), 40);
+  const ObsRun r = run_traced(40);
   const auto& col = obs::Collector::instance();
   bool saw_actions = false;
   for (const auto& b : r.budgets) {
@@ -378,7 +406,7 @@ TEST(ObsE2E, BudgetAttributionIsConsistent) {
 }
 
 TEST(ObsE2E, RetainedEventsAreSortedPerSlotBatch) {
-  const ObsRun r = run_traced(exec::ExecPolicy::parallel(2), 30);
+  const ObsRun r = run_city_traced(3, 30);
   ASSERT_FALSE(r.budgets.empty());
   std::uint64_t checked = 0;
   for (const auto& b : r.budgets) {
@@ -395,7 +423,7 @@ TEST(ObsE2E, RetainedEventsAreSortedPerSlotBatch) {
 }
 
 TEST(ObsE2E, ChromeTraceExportIsValidAndAnnotated) {
-  run_traced(exec::ExecPolicy::serial(), 100, /*with_fault=*/true);
+  run_traced(100, /*with_fault=*/true);
   auto& col = obs::Collector::instance();
 
   const std::string json = obs::chrome_trace_json(col);
@@ -469,7 +497,7 @@ struct NullApp final : MiddleboxApp {
 };
 
 TEST(ObsMgmt, ExportersReachableThroughMgmtVerbs) {
-  run_traced(exec::ExecPolicy::serial(), 20);
+  run_traced(20);
 
   NullApp app;
   MiddleboxRuntime rt(MiddleboxRuntime::Config{}, app);
@@ -548,9 +576,8 @@ TEST(TelemetrySymmetry, OutOfRangeIdsAreCheckedOnBothPaths) {
 
 TEST(TelemetryThreading, PublishOffWorkerThreadIsAllowed) {
   // The coordinator (this thread) may publish/subscribe freely; the
-  // worker-thread assert is exercised implicitly by the parallel e2e
-  // runs above (apps publish from on_slot at the barrier, never from
-  // pool workers).
+  // worker-thread assert is exercised implicitly by the parallel city
+  // runs above (cell jobs run as shard coordinators on pool workers).
   Telemetry t;
   int got = 0;
   t.subscribe([&](const TelemetrySample&) { ++got; });

@@ -1,7 +1,7 @@
 // Hitless operations (ISSUE 7): versioned serialization round-trips,
 // corruption/truncation rejection with typed errors, whole-deployment
-// checkpoint/restore determinism under chaos faults (serial and
-// parallel), and zero-loss live reconfiguration at the slot barrier.
+// checkpoint/restore determinism under chaos faults, and zero-loss live
+// reconfiguration at the slot barrier.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -201,9 +201,7 @@ struct StateRig {
   ctrl::AdaptationController* ctrl = nullptr;
   std::vector<UeId> ues;
 
-  explicit StateRig(const exec::ExecPolicy& policy = {},
-                    bool with_ctrl = false) {
-    d.engine.set_exec_policy(policy);
+  explicit StateRig(bool with_ctrl = false) {
     du = d.add_du(cell100(), srsran_profile(), 0);
     std::vector<Deployment::RuHandle*> ptrs;
     for (int f = 0; f < 3; ++f) {
@@ -303,28 +301,8 @@ TEST(Checkpoint, RestoredRunMatchesUninterruptedSerial) {
   EXPECT_EQ(snapshot(b.d, b.ues), uninterrupted);
 }
 
-TEST(Checkpoint, RestoredRunMatchesUninterruptedParallel4) {
-  const int kN = 300;
-  StateRig a(exec::ExecPolicy::parallel(4));
-  ASSERT_TRUE(a.d.attach_all(600));
-  a.add_chaos(0xdead5eed);
-  a.d.engine.run_slots(kN);
-  const auto blob = checkpoint(a.d);
-  a.d.engine.run_slots(kN);
-  const std::string uninterrupted = snapshot(a.d, a.ues);
-
-  // Restore into a parallel(4) rig - and the blob itself must match the
-  // serial checkpoint (execution policy is not state).
-  StateRig b(exec::ExecPolicy::parallel(4));
-  b.add_chaos(0xdead5eed);
-  const RestoreResult res = restore(b.d, blob);
-  ASSERT_TRUE(res.ok()) << res.detail;
-  b.d.engine.run_slots(kN);
-  EXPECT_EQ(snapshot(b.d, b.ues), uninterrupted);
-}
-
 TEST(Checkpoint, ControllerStateSurvivesRestore) {
-  StateRig a({}, /*with_ctrl=*/true);
+  StateRig a(/*with_ctrl=*/true);
   ASSERT_TRUE(a.d.attach_all(600));
   a.add_chaos(0xabc, /*watch=*/true);
   a.d.engine.run_slots(400);
@@ -332,7 +310,7 @@ TEST(Checkpoint, ControllerStateSurvivesRestore) {
   a.d.engine.run_slots(200);
   const std::string uninterrupted = snapshot(a.d, a.ues);
 
-  StateRig b({}, /*with_ctrl=*/true);
+  StateRig b(/*with_ctrl=*/true);
   b.add_chaos(0xabc, /*watch=*/true);
   const RestoreResult res = restore(b.d, blob);
   ASSERT_TRUE(res.ok()) << res.detail;
@@ -489,7 +467,7 @@ TEST(Reconfig, MembershipChurnUnderChaosKeepsTrafficFlowing) {
 }
 
 TEST(Reconfig, CtrlRetuneAndRuWidthApplyAtBarrier) {
-  StateRig rig({}, /*with_ctrl=*/true);
+  StateRig rig(/*with_ctrl=*/true);
   ASSERT_TRUE(rig.d.attach_all(600));
   ReconfigManager mgr(rig.d);
 
