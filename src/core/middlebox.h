@@ -344,10 +344,9 @@ class MiddleboxRuntime final : public Pumpable {
   };
 
   /// Parse one received frame into `out` through the per-port fronthaul
-  /// context; on reject, counts the typed reason and (under
-  /// RB_DEBUG_PARSE) dumps the head of the frame. The single
-  /// parse-and-reject integration point for the burst path and for cache
-  /// re-parse on state restore.
+  /// context; on reject, counts the typed reason (`parse_reject_<reason>`).
+  /// The single parse-and-reject integration point for the burst path and
+  /// for cache re-parse on state restore.
   bool parse_rx_frame(int in_port, const Packet& p, FhFrame& out,
                       ParseError& perr);
   /// Fill one classify-table row from a parsed frame.

@@ -1,8 +1,6 @@
 #include "core/middlebox.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "iq/prb.h"
 #include "obs/obs.h"
@@ -283,13 +281,6 @@ bool MiddleboxRuntime::parse_rx_frame(int in_port, const Packet& p,
     return true;
   if (perr != ParseError::None && perr < ParseError::kCount)
     telemetry_.inc(hot_.parse_reject[std::size_t(perr)]);
-  if (getenv("RB_DEBUG_PARSE")) {
-    auto d = p.data();
-    fprintf(stderr, "[parsefail] len=%zu bytes:", d.size());
-    for (std::size_t i = 0; i < 48 && i < d.size(); ++i)
-      fprintf(stderr, " %02x", d[i]);
-    fprintf(stderr, "\n");
-  }
   return false;
 }
 

@@ -1,9 +1,10 @@
 // Whole-frame assembly and classification: Ethernet + eCPRI + CUS-plane.
 //
-// This is the entry point the datapath uses: a middlebox receives raw bytes
-// from a port, calls parse_frame() once, and gets a typed view telling it
-// whether it holds a C-plane or U-plane message, for which eAxC, and where
-// the IQ payloads live inside the buffer.
+// This is the entry point the datapath uses: a middlebox, DU or RU receives
+// raw bytes from a port, calls parse_frame_into() once with a reused
+// FhFrame, and gets a typed view telling it whether it holds a C-plane or
+// U-plane message, for which eAxC, and where the IQ payloads live inside
+// the buffer.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +37,12 @@ struct FhFrame {
   SlotPoint at() const { return is_cplane() ? cplane().at : uplane().at; }
 };
 
-/// Parse a full frame. Returns nullopt for anything that is not a valid
-/// eCPRI CUS-plane frame (the middleboxes forward such frames untouched).
-/// On failure the optional out-parameter reports the typed reason, so
-/// callers can count rejects per reason.
+/// Parse a full frame into a fresh FhFrame: the allocating convenience
+/// wrapper over parse_frame_into() for tests and tools (nothing on the
+/// simulated datapath calls it). Returns nullopt for anything that is not
+/// a valid eCPRI CUS-plane frame (the middleboxes forward such frames
+/// untouched). On failure the optional out-parameter reports the typed
+/// reason, so callers can count rejects per reason.
 std::optional<FhFrame> parse_frame(std::span<const std::uint8_t> frame,
                                    const FhContext& ctx,
                                    ParseError* err = nullptr);

@@ -54,20 +54,20 @@ bool encode_uplane(BufWriter& w, const UPlaneMsg& hdr,
   return w.ok();
 }
 
-std::vector<std::vector<USectionData>> split_sections_for_mtu(
-    std::span<const USectionData> sections, const FhContext& ctx,
-    std::size_t max_frame_bytes) {
+void split_sections_for_mtu(std::span<const USectionData> sections,
+                            const FhContext& ctx, MtuSplit& out,
+                            std::size_t max_frame_bytes) {
   const std::size_t sec_hdr = 4u + (ctx.uplane_has_comp_hdr ? 2u : 0u);
-  std::vector<std::vector<USectionData>> frames;
-  frames.emplace_back();
+  out.parts.clear();
+  out.ends.clear();
   std::size_t used = 0;
-  auto emit = [&](USectionData s) {
+  auto emit = [&](const USectionData& s) {
     const std::size_t need = sec_hdr + s.payload.size();
     if (used > 0 && used + need > max_frame_bytes) {
-      frames.emplace_back();
+      out.ends.push_back(out.parts.size());
       used = 0;
     }
-    frames.back().push_back(s);
+    out.parts.push_back(s);
     used += need;
   };
   for (const auto& s : sections) {
@@ -90,8 +90,7 @@ std::vector<std::vector<USectionData>> split_sections_for_mtu(
       emit(part);
     }
   }
-  if (frames.back().empty()) frames.pop_back();
-  return frames;
+  if (!out.parts.empty()) out.ends.push_back(out.parts.size());
 }
 
 std::optional<UPlaneMsg> parse_uplane(BufReader& r, const FhContext& ctx,

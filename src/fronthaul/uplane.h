@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -80,13 +81,28 @@ bool parse_uplane_into(BufReader& r, const FhContext& ctx,
                        std::size_t base_offset, UPlaneMsg& m,
                        ParseError* err = nullptr);
 
+/// A section list fragmented into frames, frame-major: frame i carries
+/// parts[ends[i-1], ends[i]). Reused across calls it keeps its capacity,
+/// so a steady-state split touches no heap.
+struct MtuSplit {
+  std::vector<USectionData> parts;
+  std::vector<std::size_t> ends;
+
+  std::size_t frames() const { return ends.size(); }
+  std::span<const USectionData> frame(std::size_t i) const {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    return std::span(parts).subspan(begin, ends[i] - begin);
+  }
+};
+
 /// Fragment a section list across frames so no frame exceeds
 /// `max_frame_bytes` (e.g. wide-mantissa 100 MHz payloads overflow a 9 KB
 /// jumbo frame and must be split, as real stacks do at the MTU). Sections
 /// larger than the budget are split by PRBs; fragmentation is
-/// deterministic so peers produce matching fragments.
-std::vector<std::vector<USectionData>> split_sections_for_mtu(
-    std::span<const USectionData> sections, const FhContext& ctx,
-    std::size_t max_frame_bytes = 8'800);
+/// deterministic so peers produce matching fragments. Overwrites `out`;
+/// an empty section list yields no frames.
+void split_sections_for_mtu(std::span<const USectionData> sections,
+                            const FhContext& ctx, MtuSplit& out,
+                            std::size_t max_frame_bytes = 8'800);
 
 }  // namespace rb

@@ -1,8 +1,6 @@
 #include "ran/air.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 
 #include "common/units.h"
@@ -294,7 +292,6 @@ void AirModel::resolve_dl(std::int64_t slot) {
         // Nothing radiated for this allocation: distinct from an MCS
         // failure (a passive standby DU's allocations land here, and the
         // OLLA must not react to them).
-        if (getenv("RB_DEBUG_AIR")) fprintf(stderr, "slot=%lld ue=%d NO-RADIATION usable=%d sig=%f\n", (long long)slot, al.ue, usable_layers, sig_lin);
         ++u.dl_unradiated;
         continue;
       }
@@ -309,7 +306,6 @@ void AirModel::resolve_dl(std::int64_t slot) {
       if (per_layer_db + 0.25 >= al.assumed_sinr_db) {
         u.dl_bits += std::uint64_t(al.tbs_bits * usable_layers / al.layers);
       } else {
-        if (getenv("RB_DEBUG_AIR")) fprintf(stderr, "slot=%lld ue=%d SINR-FAIL per_layer=%.2f assumed=%.2f usable=%d\n", (long long)slot, al.ue, per_layer_db, al.assumed_sinr_db, usable_layers);
         ++u.dl_errors;  // HARQ failure; DU's OLLA adapts
       }
     }

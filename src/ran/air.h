@@ -18,6 +18,7 @@
 #include <optional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ran/cell_config.h"
@@ -156,6 +157,12 @@ class AirModel {
 
   // --- RU-facing ----------------------------------------------------
   void report_radiation(RuId ru, std::int64_t slot, RadiationReport report);
+  /// The radiation `ru` last reported and the slot it holds for (-1 once
+  /// begin_slot of a later slot dropped it, or if nothing was reported).
+  std::pair<const RadiationReport&, std::int64_t> radiation(RuId ru) const {
+    const Ru& r = rus_[std::size_t(ru)];
+    return {r.radiation, r.radiation_slot};
+  }
 
   /// RMS amplitude (int16 scale) the RU front-end observes on one PRB of
   /// its own grid in an UL slot: sum of UE transmissions plus noise.

@@ -1,8 +1,6 @@
 #include "ran/du.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 
 #include "common/log.h"
@@ -57,6 +55,8 @@ DuModel::DuModel(DuConfig cfg, AirModel& air, CellId cell_id, Port& port,
   }
   data_sections_.resize(std::size_t(n_ports_));
   ssb_sections_.resize(std::size_t(n_ports_));
+  data_frames_.resize(std::size_t(n_ports_));
+  ssb_frames_.resize(std::size_t(n_ports_));
 }
 
 EthHeader DuModel::eth_to_ru() const {
@@ -259,6 +259,13 @@ void DuModel::emit_uplane_dl(std::int64_t slot, const SlotPoint& at,
   if (n_sym <= 0) return;
   const bool ssb_slot = slot % cfg_.cell.ssb.period_slots == 0;
   const auto& ssb = cfg_.cell.ssb;
+  // Wide-mantissa payloads can exceed the jumbo MTU: fragment. The
+  // section lists are fixed for the slot, so split each once.
+  for (std::size_t port = 0; port < std::size_t(n_ports_); ++port) {
+    split_sections_for_mtu(data_sections_[port], fh_, data_frames_[port]);
+    if (ssb_slot)
+      split_sections_for_mtu(ssb_sections_[port], fh_, ssb_frames_[port]);
+  }
   // Symbol-major emission: the real-time pipeline releases all ports of a
   // symbol together, then moves to the next symbol. Symbols without any
   // scheduled section carry no frame at all.
@@ -266,26 +273,23 @@ void DuModel::emit_uplane_dl(std::int64_t slot, const SlotPoint& at,
     const bool ssb_sym = ssb_slot && sym >= ssb.first_symbol &&
                          sym < ssb.first_symbol + ssb.n_symbols;
     for (int port = 0; port < n_ports_; ++port) {
-      const auto& sections = ssb_sym ? ssb_sections_[std::size_t(port)]
-                                     : data_sections_[std::size_t(port)];
-      if (sections.empty()) continue;
+      const MtuSplit& frames = ssb_sym ? ssb_frames_[std::size_t(port)]
+                                       : data_frames_[std::size_t(port)];
+      if (frames.frames() == 0) continue;
       EaxcId eaxc{0, 0, 0, std::uint8_t(port)};
       UPlaneMsg hdr;
       hdr.direction = Direction::Downlink;
       hdr.at = at;
       hdr.at.symbol = std::uint8_t(sym);
-      // Wide-mantissa payloads can exceed the jumbo MTU: fragment.
-      const auto frames = split_sections_for_mtu(
-          std::span(sections.data(), sections.size()), fh_);
-      for (const auto& frame_secs : frames) {
+      for (std::size_t f = 0; f < frames.frames(); ++f) {
         PacketPtr p = pool_->alloc();
         if (!p) {
           ++stats_.pool_exhausted;
           return;
         }
-        const std::size_t len = build_uplane_frame(
-            p->raw(), eth_to_ru(), eaxc, next_seq(eaxc), hdr,
-            std::span(frame_secs.data(), frame_secs.size()), fh_);
+        const std::size_t len =
+            build_uplane_frame(p->raw(), eth_to_ru(), eaxc, next_seq(eaxc),
+                               hdr, frames.frame(f), fh_);
         // U-plane frames are paced per symbol, exactly as the DU's
         // real-time pipeline releases them; deadline checks downstream
         // are relative to each frame's own symbol.
@@ -368,8 +372,7 @@ void DuModel::begin_slot(std::int64_t slot, std::int64_t slot_start_ns) {
 void DuModel::process_rx(std::int64_t slot, std::int64_t slot_start_ns) {
   if (failed_) {
     // Drain and discard: a dead DU's NIC queue does not back-pressure.
-    std::vector<PacketPtr> junk;
-    while (port_->rx_burst(junk, 64) > 0) junk.clear();
+    while (port_->rx_burst(rx_, 64) > 0) rx_.clear();
     return;
   }
   // UL PUSCH combining uses every antenna port; allocations are resolved
@@ -379,31 +382,24 @@ void DuModel::process_rx(std::int64_t slot, std::int64_t slot_start_ns) {
   std::vector<PacketPtr> port0_pkts;
   std::vector<UPlaneMsg> port0_msgs;
 
-  std::vector<PacketPtr> pkts;
-  while (port_->rx_burst(pkts, 64) > 0) {
-    for (auto& p : pkts) {
-      auto frame = parse_frame(p->data(), fh_);
-      if (!frame) {
+  while (port_->rx_burst(rx_, 64) > 0) {
+    for (auto& p : rx_) {
+      if (!parse_frame_into(p->data(), fh_, frame_)) {
         ++stats_.parse_errors;
         continue;
       }
       const std::int64_t nominal =
-          slot_start_ns + std::int64_t(frame->at().symbol) *
+          slot_start_ns + std::int64_t(frame_.at().symbol) *
                               symbol_duration_ns(cfg_.cell.scs);
       if (p->rx_time_ns > nominal + cfg_.latency_budget_ns) {
-        if (getenv("RB_DEBUG_LATE"))
-          fprintf(stderr, "[late@du] slot=%lld sym=%d over_by=%lldns cplane=%d\n",
-                  (long long)slot, frame->at().symbol,
-                  (long long)(p->rx_time_ns - nominal - cfg_.latency_budget_ns),
-                  int(frame->is_cplane()));
         ++stats_.late_drops;
         continue;
       }
-      if (!frame->is_uplane()) continue;
-      const auto& u = frame->uplane();
+      if (!frame_.is_uplane()) continue;
+      const auto& u = frame_.uplane();
       if (u.direction != Direction::Uplink) continue;
       ++stats_.uplane_rx;
-      const auto eaxc = frame->ecpri.eaxc;
+      const auto eaxc = frame_.ecpri.eaxc;
 
       if (eaxc.du_port == 1) {
         // PRACH stream: detect energy in sections addressed to us.
@@ -451,7 +447,7 @@ void DuModel::process_rx(std::int64_t slot, std::int64_t slot_start_ns) {
         port0_pkts.push_back(std::move(p));
       }
     }
-    pkts.clear();
+    rx_.clear();
   }
 
   const std::uint32_t expected = (1u << n_ports_) - 1;
@@ -474,8 +470,7 @@ void DuModel::process_rx(std::int64_t slot, std::int64_t slot_start_ns) {
 
 void DuModel::drop_pending_rx() {
   ul_windows_.clear();
-  std::vector<PacketPtr> junk;
-  while (port_->rx_burst(junk, 64) > 0) junk.clear();
+  while (port_->rx_burst(rx_, 64) > 0) rx_.clear();
 }
 
 void DuModel::resolve_ul_allocs(std::int64_t slot,
@@ -650,9 +645,8 @@ void DuModel::load_state(state::StateReader& r) {
       for (std::uint32_t a = 0, na = r.count(8); a < na && r.ok(); ++a) {
         PacketPtr p = load_packet(r, *pool_);
         if (!p) break;
-        auto frame = parse_frame(p->data(), fh_);
-        if (frame && frame->is_uplane()) {
-          win.port0_msgs.push_back(frame->uplane());
+        if (parse_frame_into(p->data(), fh_, frame_) && frame_.is_uplane()) {
+          win.port0_msgs.push_back(frame_.uplane());
           win.port0_pkts.push_back(std::move(p));
         }
       }

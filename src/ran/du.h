@@ -143,6 +143,13 @@ class DuModel {
   std::vector<std::vector<USectionData>> ssb_sections_;   // SSB symbols
   std::vector<std::vector<std::uint8_t>> payload_store_;
   bool has_dl_sections_ = false;
+  // The same lists fragmented at the MTU, once per slot (reused).
+  std::vector<MtuSplit> data_frames_;
+  std::vector<MtuSplit> ssb_frames_;
+
+  // Receive scratch, reused across slots (not state).
+  std::vector<PacketPtr> rx_;
+  FhFrame frame_;
 
   /// Shared decode gate of the same-slot and windowed UL paths: sample
   /// PRB energy from port-0 frames and credit decodable allocations.

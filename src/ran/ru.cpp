@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "iq/kernels/kernels.h"
 
@@ -16,6 +17,7 @@ RuModel::RuModel(RuModelConfig cfg, AirModel& air, RuId ru_id, Port& port,
       pool_(&pool) {
   n_prb_ = prbs_for_bandwidth(cfg_.site.bandwidth, Scs::kHz30);
   ul_comp_ = cfg_.fh.comp;
+  port_accum_.resize(std::size_t(std::max(0, cfg_.site.n_antennas)));
 }
 
 Hertz RuModel::prb0_freq() const {
@@ -35,17 +37,38 @@ void RuModel::normalize(std::vector<PrbInterval>& iv) {
   std::sort(iv.begin(), iv.end(), [](const PrbInterval& a, const PrbInterval& b) {
     return a.start < b.start;
   });
-  std::vector<PrbInterval> out;
-  out.push_back(iv.front());
+  // Merge in place: iv[0..w] holds the merged prefix.
+  std::size_t w = 0;
   for (std::size_t i = 1; i < iv.size(); ++i) {
-    if (iv[i].start <= out.back().end()) {
-      const int end = std::max(out.back().end(), iv[i].end());
-      out.back().count = end - out.back().start;
+    if (iv[i].start <= iv[w].end()) {
+      iv[w].count = std::max(iv[w].end(), iv[i].end()) - iv[w].start;
     } else {
-      out.push_back(iv[i]);
+      iv[++w] = iv[i];
     }
   }
-  iv = std::move(out);
+  iv.resize(w + 1);
+}
+
+void RuModel::scan_section(const Packet& p, const USection& sec, bool ssb_sym,
+                           PortAccum& acc) {
+  // Energized PRBs are read from the BFP exponents alone (no
+  // decompression): the low nibble of each PRB's first byte. PRBs the
+  // payload does not reach stay cold, and nothing past it is read.
+  const std::size_t prb_sz = sec.comp.prb_bytes();
+  const std::uint8_t thr = energy_exponent_threshold(sec.comp.iq_width);
+  const int n = int(std::min<std::size_t>(
+      std::size_t(sec.num_prb), (sec.payload_len + prb_sz - 1) / prb_sz));
+  // Through bytes(): a replica's payload lives in the shared segment.
+  const std::uint8_t* e = p.bytes(sec.payload_offset, sec.payload_len).data();
+  auto hot = [&](int k) { return (e[std::size_t(k) * prb_sz] & 0x0f) >= thr; };
+  for (int k = 0; k < n;) {
+    while (k < n && !hot(k)) ++k;
+    const int run_start = k;
+    while (k < n && hot(k)) ++k;
+    const int abs_start = sec.start_prb + run_start;
+    add_interval(acc.data, abs_start, k - run_start);
+    if (ssb_sym) add_interval(acc.ssb, abs_start, k - run_start);
+  }
 }
 
 void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
@@ -53,34 +76,40 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
     cache_slot_ = slot;
     ul_requests_.clear();
     prach_requests_.clear();
-    port_accum_.clear();
+    for (auto& acc : port_accum_) {
+      acc.data.clear();
+      acc.ssb.clear();
+      acc.cplane.clear();
+    }
   }
   const bool ssb_slot =
       cfg_.ssb_period_slots > 0 && slot % cfg_.ssb_period_slots == 0;
+  const int n_ports = int(port_accum_.size());
 
-  std::vector<PacketPtr> pkts;
-  while (port_->rx_burst(pkts, 64) > 0) {
-    for (auto& p : pkts) {
-      auto frame = parse_frame(p->data(), cfg_.fh);
-      if (!frame) {
+  while (port_->rx_burst(rx_, 64) > 0) {
+    for (auto& p : rx_) {
+      if (!parse_frame_into(p->data(), cfg_.fh, frame_)) {
         ++stats_.parse_errors;
         continue;
       }
+      const FhFrame& frame = frame_;
       // Reception window: each frame must arrive within the budget of its
       // own symbol's nominal time.
       const std::int64_t nominal =
           slot_start_ns +
-          std::int64_t(frame->at().symbol) * symbol_duration_ns(Scs::kHz30);
+          std::int64_t(frame.at().symbol) * symbol_duration_ns(Scs::kHz30);
       if (p->rx_time_ns > nominal + cfg_.latency_budget_ns) {
         ++stats_.late_drops;
         continue;
       }
-      const EaxcId eaxc = frame->ecpri.eaxc;
-      if (frame->is_cplane()) {
+      const EaxcId eaxc = frame.ecpri.eaxc;
+      if (frame.is_cplane()) {
         ++stats_.cplane_rx;
-        const auto& c = frame->cplane();
+        const auto& c = frame.cplane();
         if (c.direction == Direction::Downlink) {
-          // Record scheduled coverage; radiation is clipped to it.
+          // Record scheduled coverage; radiation is clipped to it. A port
+          // beyond our antennas can never radiate, so it has no coverage.
+          if (eaxc.ru_port >= n_ports) continue;
           auto& acc = port_accum_[eaxc.ru_port];
           for (const auto& s : c.sections) {
             const int n = s.effective_prbs(n_prb_);
@@ -93,11 +122,11 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
             r.section_id = s.section_id;
             r.freq_offset = s.freq_offset;
             r.n_prb = s.effective_prbs(n_prb_);
-            r.reply_to = frame->eth.src;
+            r.reply_to = frame.eth.src;
             prach_requests_.push_back(r);
           }
         } else {
-          if (eaxc.ru_port >= cfg_.site.n_antennas) {
+          if (eaxc.ru_port >= n_ports) {
             ++stats_.unexpected_port_drops;
             continue;
           }
@@ -107,7 +136,7 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
             r.start_prb = s.start_prb;
             r.n_prb = s.effective_prbs(n_prb_);
             r.symbol = c.at.symbol;
-            r.reply_to = frame->eth.src;
+            r.reply_to = frame.eth.src;
             r.eaxc = eaxc;
             ul_requests_.push_back(r);
           }
@@ -116,9 +145,9 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
       }
 
       // U-plane (downlink IQ to radiate).
-      const auto& u = frame->uplane();
+      const auto& u = frame.uplane();
       if (u.direction != Direction::Downlink) continue;
-      if (eaxc.ru_port >= cfg_.site.n_antennas) {
+      if (eaxc.ru_port >= n_ports) {
         ++stats_.unexpected_port_drops;
         continue;
       }
@@ -132,34 +161,18 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
           ++stats_.parse_errors;
           continue;
         }
-        const std::size_t prb_sz = sec.comp.prb_bytes();
-        auto payload = p->bytes(sec.payload_offset, sec.payload_len);
-        // Scan BFP exponents to find energized PRBs (no decompression).
-        int run_start = -1;
-        for (int k = 0; k <= sec.num_prb; ++k) {
-          bool hot = false;
-          if (k < sec.num_prb) {
-            const std::uint8_t e =
-                bfp_wire_exponent(payload.subspan(std::size_t(k) * prb_sz));
-            hot = e >= energy_exponent_threshold(sec.comp.iq_width);
-          }
-          if (hot && run_start < 0) run_start = k;
-          if (!hot && run_start >= 0) {
-            const int abs_start = sec.start_prb + run_start;
-            const int n = k - run_start;
-            add_interval(acc.data, abs_start, n);
-            if (ssb_sym) add_interval(acc.ssb, abs_start, n);
-            run_start = -1;
-          }
-        }
+        scan_section(*p, sec, ssb_sym, acc);
       }
     }
-    pkts.clear();
+    rx_.clear();
   }
 
-  // Clip radiation to the C-plane scheduled coverage and report.
+  // Clip radiation to the C-plane scheduled coverage and report, ports in
+  // ascending order.
   RadiationReport rep;
-  for (auto& [port, acc] : port_accum_) {
+  for (int port = 0; port < n_ports; ++port) {
+    PortAccum& acc = port_accum_[std::size_t(port)];
+    if (acc.data.empty()) continue;  // SSB runs are a subset of data runs
     normalize(acc.data);
     normalize(acc.ssb);
     normalize(acc.cplane);
@@ -181,17 +194,17 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
     if (!pr.data.empty() || !pr.ssb_sym.empty())
       rep.ports.push_back(std::move(pr));
   }
-  if (!rep.ports.empty()) air_->report_radiation(ru_id_, slot, rep);
+  if (!rep.ports.empty()) air_->report_radiation(ru_id_, slot, std::move(rep));
 }
 
-void RuModel::synth_payload(std::vector<std::uint8_t>& out, int start_prb,
-                            int n_prb, std::int64_t slot) {
+void RuModel::synth_payload(int start_prb, int n_prb, std::int64_t slot) {
   // Noise synthesis is the dispatched kernel (iq/kernels/noise.h holds
   // the scalar reference); the RNG advance it performs is part of
   // checkpointed RU state, so every tier matches it draw-for-draw.
   const IqKernelOps& ops = iq_ops();
   const std::size_t prb_sz = ul_comp_.prb_bytes();
-  out.resize(std::size_t(n_prb) * prb_sz);
+  ul_payload_.resize(std::size_t(n_prb) * prb_sz);
+  const std::span<std::uint8_t> out(ul_payload_);
   PrbSamples samples{};
   for (int k = 0; k < n_prb; ++k) {
     const double amp = air_->ul_rx_amplitude(ru_id_, slot, start_prb + k);
@@ -199,8 +212,7 @@ void RuModel::synth_payload(std::vector<std::uint8_t>& out, int start_prb,
     const std::int32_t a = std::max<std::int32_t>(1, std::int32_t(peak));
     ops.synth_noise_prb(&rng_, a, samples.data());
     bfp_compress_prb(IqConstSpan(samples.data(), samples.size()),
-                     ul_comp_.iq_width,
-                     std::span(out).subspan(std::size_t(k) * prb_sz));
+                     ul_comp_.iq_width, out.subspan(std::size_t(k) * prb_sz));
   }
 }
 
@@ -216,9 +228,8 @@ void RuModel::emit_ul(std::int64_t slot, std::int64_t slot_start_ns) {
     at.symbol = 0;
   }
 
-  std::vector<std::uint8_t> payload;
   for (const auto& req : ul_requests_) {
-    synth_payload(payload, req.start_prb, req.n_prb, slot);
+    synth_payload(req.start_prb, req.n_prb, slot);
     UPlaneMsg hdr;
     hdr.direction = Direction::Uplink;
     hdr.at = at;
@@ -227,7 +238,7 @@ void RuModel::emit_ul(std::int64_t slot, std::int64_t slot_start_ns) {
     sec.section_id = 0;
     sec.start_prb = std::uint16_t(req.start_prb);
     sec.num_prb = req.n_prb;
-    sec.payload = payload;
+    sec.payload = ul_payload_;
     sec.comp = ul_comp_;  // per-packet udCompHdr carries the live width
     EthHeader eth;
     eth.dst = req.reply_to;
@@ -237,17 +248,16 @@ void RuModel::emit_ul(std::int64_t slot, std::int64_t slot_start_ns) {
     eth.pcp = 7;
     // Fragment wide payloads at the MTU (deterministic split, so DAS
     // merging pairs fragment k of every RU).
-    const auto frames =
-        split_sections_for_mtu(std::span(&sec, 1), cfg_.fh);
-    for (const auto& frame_secs : frames) {
+    split_sections_for_mtu(std::span(&sec, 1), cfg_.fh, ul_split_);
+    for (std::size_t f = 0; f < ul_split_.frames(); ++f) {
       PacketPtr p = pool_->alloc();
       if (!p) {
         ++stats_.pool_exhausted;
         continue;
       }
-      const std::size_t len = build_uplane_frame(
-          p->raw(), eth, req.eaxc, seq_[req.eaxc.packed()]++, hdr,
-          std::span(frame_secs.data(), frame_secs.size()), cfg_.fh);
+      const std::size_t len =
+          build_uplane_frame(p->raw(), eth, req.eaxc, seq_[req.eaxc.packed()]++,
+                             hdr, ul_split_.frame(f), cfg_.fh);
       if (len == 0) {
         ++stats_.parse_errors;
         continue;
@@ -265,12 +275,14 @@ void RuModel::emit_ul(std::int64_t slot, std::int64_t slot_start_ns) {
   if (!prach_requests_.empty() && air_->is_prach_occasion(slot)) {
     const auto txs = air_->prach_rx(ru_id_, slot);
     const Hertz scs = scs_hz(Scs::kHz30);
+    const std::size_t prb_sz = cfg_.fh.comp.prb_bytes();
     for (const auto& req : prach_requests_) {
       // Appendix A.1.2: capture window starts at center - offset*SCS/2.
       const Hertz capture_f0 =
           cfg_.site.center_freq - Hertz(req.freq_offset) * scs / 2;
-      const std::size_t prb_sz = cfg_.fh.comp.prb_bytes();
-      payload.assign(std::size_t(req.n_prb) * prb_sz, 0);
+      const IqKernelOps& ops = iq_ops();
+      ul_payload_.assign(std::size_t(req.n_prb) * prb_sz, 0);
+      const std::span<std::uint8_t> out(ul_payload_);
       PrbSamples samples{};
       for (int k = 0; k < req.n_prb; ++k) {
         const Hertz f_lo = capture_f0 + k * 12 * scs;
@@ -284,10 +296,10 @@ void RuModel::emit_ul(std::int64_t slot, std::int64_t slot_start_ns) {
         }
         const double peak = amp * 1.732;
         const std::int32_t a = std::max<std::int32_t>(1, std::int32_t(peak));
-        iq_ops().synth_noise_prb(&rng_, a, samples.data());
+        ops.synth_noise_prb(&rng_, a, samples.data());
         bfp_compress_prb(IqConstSpan(samples.data(), samples.size()),
                          cfg_.fh.comp.iq_width,
-                         std::span(payload).subspan(std::size_t(k) * prb_sz));
+                         out.subspan(std::size_t(k) * prb_sz));
       }
       UPlaneMsg hdr;
       hdr.direction = Direction::Uplink;
@@ -297,7 +309,7 @@ void RuModel::emit_ul(std::int64_t slot, std::int64_t slot_start_ns) {
       sec.section_id = req.section_id;
       sec.start_prb = 0;
       sec.num_prb = req.n_prb;
-      sec.payload = payload;
+      sec.payload = ul_payload_;
       EthHeader eth;
       eth.dst = req.reply_to;
       eth.src = cfg_.ru_mac;

@@ -95,6 +95,8 @@ class RuModel {
     int n_prb = 0;
     MacAddr reply_to{};
   };
+  /// One antenna port's slot accumulators. Cleared at each new slot
+  /// without freeing, so the steady state allocates nothing.
   struct PortAccum {
     std::vector<PrbInterval> data;
     std::vector<PrbInterval> ssb;
@@ -103,8 +105,11 @@ class RuModel {
 
   void add_interval(std::vector<PrbInterval>& iv, int start, int count);
   static void normalize(std::vector<PrbInterval>& iv);
-  void synth_payload(std::vector<std::uint8_t>& out, int start_prb, int n_prb,
-                     std::int64_t slot);
+  /// Add the energized PRB runs of one DL U-plane section to `acc`.
+  void scan_section(const Packet& p, const USection& sec, bool ssb_sym,
+                    PortAccum& acc);
+  /// Synthesize `n_prb` compressed UL PRBs into ul_payload_.
+  void synth_payload(int start_prb, int n_prb, std::int64_t slot);
   Hertz prb0_freq() const;
 
   RuModelConfig cfg_;
@@ -119,8 +124,14 @@ class RuModel {
   std::int64_t cache_slot_ = -1;
   std::vector<UlRequest> ul_requests_;
   std::vector<PrachRequest> prach_requests_;
-  std::unordered_map<int, PortAccum> port_accum_;
+  std::vector<PortAccum> port_accum_;  // indexed by RU port < n_antennas
   std::unordered_map<std::uint16_t, std::uint8_t> seq_;
+
+  // Per-slot scratch, reused across slots (not state).
+  std::vector<PacketPtr> rx_;
+  FhFrame frame_;
+  std::vector<std::uint8_t> ul_payload_;
+  MtuSplit ul_split_;
 
   RuStats stats_;
 };

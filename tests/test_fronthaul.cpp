@@ -488,11 +488,12 @@ TEST(Frame, MtuSplitHonorsPerSectionWidth) {
   sec.num_prb = 273;
   sec.payload = pay_wide;
   sec.comp = wide;
-  const auto frags = split_sections_for_mtu(std::span(&sec, 1), ctx);
-  EXPECT_GT(frags.size(), 1u);
+  MtuSplit frags;
+  split_sections_for_mtu(std::span(&sec, 1), ctx, frags);
+  EXPECT_GT(frags.frames(), 1u);
   std::size_t total_prbs = 0;
-  for (const auto& f : frags)
-    for (const auto& s : f) {
+  for (std::size_t f = 0; f < frags.frames(); ++f)
+    for (const auto& s : frags.frame(f)) {
       EXPECT_TRUE(s.comp.has_value());
       EXPECT_EQ(s.comp->iq_width, 16);
       total_prbs += std::size_t(s.num_prb);
@@ -504,7 +505,8 @@ TEST(Frame, MtuSplitHonorsPerSectionWidth) {
   auto pay_narrow = compressed_payload(273, narrow, 9);
   sec.payload = pay_narrow;
   sec.comp = narrow;
-  EXPECT_EQ(split_sections_for_mtu(std::span(&sec, 1), ctx).size(), 1u);
+  split_sections_for_mtu(std::span(&sec, 1), ctx, frags);
+  EXPECT_EQ(frags.frames(), 1u);
 }
 
 TEST(Frame, ByteFlipFuzzDoesNotCrash) {
