@@ -2,7 +2,7 @@
 // mobile network operators (40 MHz each) over the same four shared
 // 100 MHz RUs with seamless floor coverage (~350 Mbps per MNO UE).
 //
-// Topology (hand-wired to show the chain):
+// Topology (Deployment::add_rushare over an RU set):
 //   DU_A --.
 //           rushare --- das --- switch --- RU1..RU4
 //   DU_B --'
@@ -21,8 +21,7 @@ struct ChainRig {
   Deployment d;
   Deployment::DuHandle du_a, du_b;
   std::vector<Deployment::RuHandle> rus;
-  MiddleboxRuntime* rushare_rt = nullptr;
-  MiddleboxRuntime* das_rt = nullptr;
+  Deployment::ShareChain chain;
   UeId ue_a = -1, ue_b = -1;
 
   ChainRig() {
@@ -37,77 +36,9 @@ struct ChainRig {
       rus.push_back(d.add_ru(
           ru_site(d.plan.ru_position(0, i), 4, MHz(100), kBand78Center),
           std::uint8_t(i), du_a.du->fh()));
-
-    // --- RU sharing stage: DU-facing ---
-    RuShareConfig scfg;
-    scfg.ru_mac = MacAddr::mb(1);  // the DAS stage impersonates the RU
-    scfg.ru_n_prb = 273;
-    scfg.ru_center_freq = kBand78Center;
-    for (auto* duh : {&du_a, &du_b}) {
-      ShareDu sd;
-      sd.mac = duh->du->config().du_mac;
-      sd.du_id = duh->du->config().du_id;
-      sd.n_prb = duh->du->config().cell.n_prb();
-      sd.center_freq = duh->du->config().cell.center_freq;
-      sd.prb_offset = Deployment::prb_offset_in_ru(
-          duh->du->config().cell, d.air.ru(rus[0].id));
-      scfg.dus.push_back(sd);
-    }
-    d.apps.push_back(std::make_unique<RuShareMiddlebox>(scfg));
-    MiddleboxRuntime::Config rc;
-    rc.name = "rushare";
-    rc.fh = du_a.du->fh();
-    rc.fh.carrier_prbs = 273;
-    d.runtimes.push_back(
-        std::make_unique<MiddleboxRuntime>(rc, *d.apps.back()));
-    rushare_rt = d.runtimes.back().get();
-    Port& sh_south = d.new_port("rushare.south");
-    rushare_rt->add_port("south", sh_south);
-    Port& sh_na = d.new_port("rushare.north0");
-    rushare_rt->add_port("north0", sh_na, du_a.du->fh());
-    Port& sh_nb = d.new_port("rushare.north1");
-    rushare_rt->add_port("north1", sh_nb, du_b.du->fh());
-    Port::connect(*du_a.port, sh_na, 1'000);
-    Port::connect(*du_b.port, sh_nb, 1'000);
-
-    // --- DAS stage: distributes the shared-RU stream over four RUs ---
-    DasConfig dcfg;
-    dcfg.du_mac = du_a.du->config().du_mac;  // UL heads back to the chain
-    for (auto& r : rus) dcfg.ru_macs.push_back(r.mac);
-    d.apps.push_back(std::make_unique<DasMiddlebox>(dcfg));
-    MiddleboxRuntime::Config dc;
-    dc.name = "das";
-    dc.fh = du_a.du->fh();
-    dc.fh.carrier_prbs = 273;
-    d.runtimes.push_back(
-        std::make_unique<MiddleboxRuntime>(dc, *d.apps.back()));
-    das_rt = d.runtimes.back().get();
-    Port& das_north = d.new_port("das.north");
-    Port& das_south = d.new_port("das.south");
-    das_rt->add_port("north", das_north);
-    das_rt->add_port("south", das_south);
-    // Inter-stage hop (the SR-IOV embedded-switch crossing, Figure 8).
-    Port::connect(sh_south, das_north, ChainBuilder::kHopLatencyNs);
-
-    EmbeddedSwitch& sw = d.new_switch("fabric");
-    Port& sw_mb = sw.add_port("das");
-    Port::connect(das_south, sw_mb, 500);
-    sw.add_static_entry(dcfg.du_mac, sw_mb);
-    sw.add_static_entry(du_b.du->config().du_mac, sw_mb);
-    for (auto& r : rus) {
-      Port& sw_ru = sw.add_port("ru");
-      Port::connect(*r.port, sw_ru, 500);
-      sw.add_static_entry(r.mac, sw_ru);
-    }
-    d.engine.add_middlebox(*rushare_rt);
-    d.engine.add_middlebox(*das_rt);
-
-    // Air topology: both cells radiate from all four RUs at their slices.
-    for (auto* duh : {&du_a, &du_b}) {
-      const int off = Deployment::prb_offset_in_ru(duh->du->config().cell,
-                                                   d.air.ru(rus[0].id));
-      for (auto& r : rus) d.air.assign_ru(duh->cell, r.id, off);
-    }
+    std::vector<Deployment::RuHandle*> ptrs;
+    for (auto& r : rus) ptrs.push_back(&r);
+    chain = d.add_rushare({&du_a, &du_b}, ptrs);
 
     ue_a = d.add_ue(d.plan.near_ru(0, 0, 2.0), &du_a, 500, 50, 1);
     ue_b = d.add_ue(d.plan.near_ru(0, 3, 2.0), &du_b, 500, 50, 2);
@@ -146,9 +77,9 @@ int main() {
       "(paper: ~350 Mbps each)", mean_a, mean_b);
   row("chain stats: rushare muxed=%llu, das merges=%llu, pcie-style hops "
       "traversed by every frame",
-      (unsigned long long)rig.rushare_rt->telemetry().counter(
+      (unsigned long long)rig.chain.share->telemetry().counter(
           "rushare_dl_muxed"),
-      (unsigned long long)rig.das_rt->telemetry().counter("das_merges"));
+      (unsigned long long)rig.chain.das->telemetry().counter("das_merges"));
 
   // Per-kernel-tier chain throughput: the same loaded chain pumped under
   // each available IQ kernel tier (the A4 codec + combine dominate the

@@ -153,9 +153,9 @@ class MbContext {
   std::int64_t slot_start_ns() const { return slot_start_ns_; }
 
   /// Precomputed classification of the frame being handled (burst parse
-  /// table row). Non-null exactly during on_frame(); null in on_other,
-  /// on_slot and on_pump_idle contexts.
-  const FrameInfo* frame_info() const { return info_; }
+  /// table row). Valid only during on_frame(); on_other, on_slot and
+  /// on_pump_idle contexts have no frame and must not call it.
+  const FrameInfo& frame_info() const { return *info_; }
 
   /// Modeled cost accumulated so far for the current packet (ns). Pair
   /// with trace_span() to attribute an app-level phase.

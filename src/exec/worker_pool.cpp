@@ -1,24 +1,15 @@
 #include "exec/worker_pool.h"
 
-#include <chrono>
-
 #include "common/thread_flags.h"
 
 namespace rb::exec {
 namespace {
 
-std::int64_t now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 constexpr int kSpinPolls = 4096;  // poll budget before parking
 
 }  // namespace
 
-WorkerPool::WorkerPool(int n_workers)
-    : done_(std::size_t(n_workers < 1 ? 1 : n_workers), /*capacity_each=*/1024) {
+WorkerPool::WorkerPool(int n_workers) {
   const int n = n_workers < 1 ? 1 : n_workers;
   workers_.reserve(std::size_t(n));
   for (int i = 0; i < n; ++i)
@@ -44,14 +35,7 @@ void WorkerPool::run(std::span<const Job> jobs) {
   // Inline execution keeps single-worker pools (and tiny batches on a
   // degenerate pool) cheap and exactly ordered.
   if (size() == 1) {
-    auto& st = workers_[0]->stats;
-    for (const auto& j : jobs) {
-      const std::int64_t t0 = now_ns();
-      j.fn(j.arg, 0);
-      st.busy_ns += std::uint64_t(now_ns() - t0);
-      ++st.jobs;
-    }
-    st.dispatches += 1;
+    for (const auto& j : jobs) j.fn(j.arg, 0);
     return;
   }
 
@@ -69,22 +53,10 @@ void WorkerPool::run(std::span<const Job> jobs) {
     }
   }
 
-  const std::int64_t w0 = now_ns();
   std::unique_lock<std::mutex> lk(done_mu_);
   done_cv_.wait(lk, [this] {
     return pending_.load(std::memory_order_acquire) == 0;
   });
-  lk.unlock();
-  coordinator_wait_ns_ += std::uint64_t(now_ns() - w0);
-
-  // Barrier-time merge of the per-job completion records (the MPSC lanes
-  // are drained in worker order, so this is deterministic).
-  done_.drain([this](Completion c) {
-    auto& st = workers_[std::size_t(c.worker)]->stats;
-    (void)st;  // per-job busy already accumulated worker-side; records
-               // exist for cross-checking and future per-phase accounting
-  });
-  for (auto& w : workers_) w->stats.dispatches += 1;
 }
 
 void WorkerPool::worker_main(int w) {
@@ -103,7 +75,6 @@ void WorkerPool::worker_main(int w) {
     }
     if (!got) {
       std::unique_lock<std::mutex> lk(ctx.mu);
-      ++ctx.stats.park_waits;
       ctx.cv.wait(lk, [&] {
         return !ctx.jobs.empty_approx() ||
                stop_.load(std::memory_order_acquire);
@@ -113,32 +84,12 @@ void WorkerPool::worker_main(int w) {
       continue;
     }
 
-    const std::int64_t t0 = now_ns();
     j.fn(j.arg, w);
-    const std::int64_t busy = now_ns() - t0;
-    ctx.stats.busy_ns += std::uint64_t(busy);
-    ++ctx.stats.jobs;
-
-    // Best-effort record: the coordinator drains only after the barrier,
-    // so a full lane must never be waited on (it would deadlock against
-    // pending_). Authoritative per-worker totals live in ctx.stats.
-    if (!done_.try_push(std::size_t(w), Completion{w, busy}))
-      ++ctx.stats.ring_full_spins;
     if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lk(done_mu_);
       done_cv_.notify_one();
     }
   }
-}
-
-WorkerStats WorkerPool::merged_stats() const {
-  WorkerStats all;
-  for (const auto& w : workers_) all += w->stats;
-  return all;
-}
-
-void WorkerPool::reset_stats() {
-  for (auto& w : workers_) w->stats = WorkerStats{};
 }
 
 }  // namespace rb::exec

@@ -51,10 +51,10 @@ void DasMiddlebox::uplink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
     return;
   }
   const auto& u = frame.uplane();
-  const FrameInfo* fi = ctx.frame_info();  // burst classify-table row
+  const FrameInfo& fi = ctx.frame_info();  // burst classify-table row
   // PRACH streams are forwarded per-RU; the DU's detector is idempotent
   // and benefits from every RU's capture.
-  if (fi ? fi->prach : frame.ecpri.eaxc.du_port != 0) {
+  if (fi.prach) {
     ctx.forward(std::move(p), kNorth, cfg_.du_mac);
     return;
   }
@@ -75,13 +75,7 @@ void DasMiddlebox::uplink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
   // section's start PRB identifies matching fragments across RUs; the
   // distinct source-MAC count tells when every RU's copy arrived. The
   // burst classify table precomputed this exact key.
-  const std::uint64_t key =
-      fi ? fi->cache_key
-         : PacketCache::key(
-               u.at, frame.ecpri.eaxc, /*cplane=*/false,
-               u.sections.empty()
-                   ? 0
-                   : std::uint8_t(u.sections[0].start_prb & 0xff));
+  const std::uint64_t key = fi.cache_key;
   if (group_done(key)) {
     // The group was combined without this copy: too late to contribute.
     ctx.telemetry().inc("das_late_copies");

@@ -87,13 +87,13 @@ void DmimoMiddlebox::on_frame(int in_port, PacketPtr p, FhFrame& frame,
 }
 
 void DmimoMiddlebox::downlink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
-  const FrameInfo* fi = ctx.frame_info();  // burst classify-table row
-  const EaxcId eaxc = fi ? fi->eaxc : frame.ecpri.eaxc;
+  const FrameInfo& fi = ctx.frame_info();  // burst classify-table row
+  const EaxcId eaxc = fi.eaxc;
 
   // PRACH control: replicate to every RU (down ones included - control
   // frames are the probe that lets a recovered RU answer again) so
   // whichever radio is nearest a joining UE captures its preamble.
-  if (fi ? fi->prach : eaxc.du_port != 0) {
+  if (fi.prach) {
     for (std::size_t i = 0; i + 1 < cfg_.rus.size(); ++i) {
       PacketPtr copy = ctx.replicate(*p);
       if (copy) ctx.forward(std::move(copy), kSouth, cfg_.rus[i].mac);
@@ -115,7 +115,7 @@ void DmimoMiddlebox::downlink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
   // payloads to a radio that stopped serving - the surviving RUs carry
   // the cell. C-plane still goes through: uplink is C-plane driven, so
   // scheduling requests are exactly the probe that detects recovery.
-  const bool is_up = fi ? !fi->cplane : frame.is_uplane();
+  const bool is_up = !fi.cplane;
   if (ru_down(m.ru_index) && is_up) {
     ctx.telemetry().inc("dmimo_fallback_drops");
     ctx.drop(std::move(p));
@@ -124,8 +124,7 @@ void DmimoMiddlebox::downlink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
 
   // SSB copy: the primary antenna's U-plane carries the SSB; graft its
   // PRBs into the packet that becomes antenna 0 of every other RU.
-  if (cfg_.copy_ssb && is_up &&
-      is_ssb_symbol(fi ? fi->at : frame.uplane().at)) {
+  if (cfg_.copy_ssb && is_up && is_ssb_symbol(fi.at)) {
     const auto& u = frame.uplane();
     if (eaxc.ru_port == 0) {
       // Cache the primary antenna's SSB-symbol packet (A3).

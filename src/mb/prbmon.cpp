@@ -8,17 +8,13 @@ namespace rb {
 
 void PrbMonitorMiddlebox::on_frame(int in_port, PacketPtr p, FhFrame& frame,
                                    MbContext& ctx) {
-  // Gate on the burst classify-table row when available: plane, PRACH and
-  // antenna-port facts without touching the frame variant.
-  const FrameInfo* fi = ctx.frame_info();
-  const bool grid_sample =
-      fi ? (!fi->cplane && !fi->prach && fi->eaxc.ru_port == 0)
-         : (frame.is_uplane() && frame.ecpri.eaxc.du_port == 0 &&
-            frame.ecpri.eaxc.ru_port == 0);
-  if (grid_sample) {
+  // Gate on the burst classify-table row: plane, PRACH and antenna-port
+  // facts without touching the frame variant.
+  const FrameInfo& fi = ctx.frame_info();
+  if (!fi.cplane && !fi.prach && fi.eaxc.ru_port == 0) {
     // Algorithm 1 over antenna port 0 (one spatial sample of the grid).
     const auto& u = frame.uplane();
-    const bool dl = fi ? !fi->uplink : u.direction == Direction::Downlink;
+    const bool dl = !fi.uplink;
     const std::uint8_t thr = dl ? cfg_.thr_dl : cfg_.thr_ul;
     // PRBs outside any section were never transported: idle by definition.
     // The per-PRB exponent reads are deliberately untraced (hundreds per

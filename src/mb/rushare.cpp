@@ -1,5 +1,6 @@
 #include "mb/rushare.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "obs/obs.h"
@@ -78,10 +79,11 @@ bool RuShareMiddlebox::quarantine(int in_port, const FhFrame& frame,
                                   MbContext& ctx) const {
   // A corrupted frame can still parse cleanly; in a multi-operator box it
   // must never leak into another tenant's slice. Two semantic gates: the
-  // source MAC must match the port's owner, and every section must stay
+  // source MAC must belong to the port's owner, and every section must stay
   // inside the owner's PRB grid.
   if (in_port == kSouth) {
-    if (frame.eth.src != cfg_.ru_mac) {
+    if (std::find(cfg_.ru_macs.begin(), cfg_.ru_macs.end(), frame.eth.src) ==
+        cfg_.ru_macs.end()) {
       ctx.telemetry().inc("rushare_quarantine_src_mac");
       return true;
     }
@@ -124,12 +126,10 @@ void RuShareMiddlebox::on_frame(int in_port, PacketPtr p, FhFrame& frame,
                                 MbContext& ctx) {
   // Branch on the burst classify-table row: plane/PRACH/type-3 facts were
   // computed once in the parse pass instead of re-probing the variant.
-  const FrameInfo* fi = ctx.frame_info();
-  const bool cplane = fi ? fi->cplane : frame.is_cplane();
-  const bool prach = fi ? fi->prach : frame.ecpri.eaxc.du_port != 0;
-  const bool type3 =
-      fi ? fi->type3
-         : (cplane && frame.cplane().section_type == SectionType::Type3);
+  const FrameInfo& fi = ctx.frame_info();
+  const bool cplane = fi.cplane;
+  const bool prach = fi.prach;
+  const bool type3 = fi.type3;
   if (quarantine(in_port, frame, ctx)) {
     ctx.drop(std::move(p));
     return;
@@ -187,7 +187,7 @@ void RuShareMiddlebox::du_cplane(int du, PacketPtr p, FhFrame& frame,
     PacketPtr out = ctx.alloc_packet();
     if (out) {
       EthHeader eth = frame.eth;
-      eth.dst = cfg_.ru_mac;
+      eth.dst = cfg_.ru_macs.front();
       const std::size_t len =
           build_cplane_frame(out->raw(), eth, frame.ecpri.eaxc,
                              frame.ecpri.seq_id, widened, ctx.fh());
@@ -275,7 +275,7 @@ void RuShareMiddlebox::du_uplane(int du, PacketPtr p, FhFrame& frame,
     return;
   }
   EthHeader eth = batch.front().frame.eth;
-  eth.dst = cfg_.ru_mac;
+  eth.dst = cfg_.ru_macs.front();
   const std::size_t len = build_uplane_frame(
       out->raw(), eth, batch.front().frame.ecpri.eaxc,
       batch.front().frame.ecpri.seq_id, hdr,
@@ -387,7 +387,7 @@ void RuShareMiddlebox::du_prach_cplane(int du, PacketPtr p, FhFrame& frame,
   PacketPtr out = ctx.alloc_packet();
   if (!out) return;
   EthHeader eth = entries->front().frame.eth;
-  eth.dst = cfg_.ru_mac;
+  eth.dst = cfg_.ru_macs.front();
   const std::size_t len = build_cplane_frame(
       out->raw(), eth, entries->front().frame.ecpri.eaxc,
       entries->front().frame.ecpri.seq_id, combined, ctx.fh());

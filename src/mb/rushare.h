@@ -27,7 +27,11 @@ struct ShareDu {
 
 struct RuShareConfig {
   std::vector<ShareDu> dus;
-  MacAddr ru_mac = MacAddr::ru(0);
+  /// Source MACs accepted on the south port: the RU itself, or the member
+  /// RUs of a DAS stage chained south of the share (its merged UL carries
+  /// a member's source MAC). DL is addressed to the first; a frame from
+  /// any other MAC is quarantined.
+  std::vector<MacAddr> ru_macs = {MacAddr::ru(0)};
   int ru_n_prb = 273;
   Hertz ru_center_freq = GHz(3) + MHz(460);
   Scs scs = Scs::kHz30;
@@ -56,7 +60,7 @@ class RuShareMiddlebox final : public MiddleboxApp {
   const RuShareConfig& config() const { return cfg_; }
 
  private:
-  /// Semantic validation of a parsed frame: source MAC must match the
+  /// Semantic validation of a parsed frame: source MAC must belong to the
   /// port's owner and all sections must stay inside the owner's PRB grid,
   /// so a corrupted-but-parseable frame never leaks across tenant slices.
   /// Counts rushare_quarantine_{src_mac,geometry} and returns true when

@@ -109,7 +109,10 @@ void RuModel::process_dl(std::int64_t slot, std::int64_t slot_start_ns) {
         if (c.direction == Direction::Downlink) {
           // Record scheduled coverage; radiation is clipped to it. A port
           // beyond our antennas can never radiate, so it has no coverage.
-          if (eaxc.ru_port >= n_ports) continue;
+          if (eaxc.ru_port >= n_ports) {
+            ++stats_.unexpected_port_drops;
+            continue;
+          }
           auto& acc = port_accum_[eaxc.ru_port];
           for (const auto& s : c.sections) {
             const int n = s.effective_prbs(n_prb_);

@@ -88,43 +88,54 @@ int Deployment::prb_offset_in_ru(const CellConfig& du_cell, const RuSite& ru) {
   return int((du_cell.prb0_freq() - ru_prb0) / (12 * scs_hz(Scs::kHz30)));
 }
 
+MiddleboxRuntime& Deployment::add_runtime(std::unique_ptr<MiddleboxApp> app,
+                                          const char* kind,
+                                          const FhContext& fh,
+                                          DriverKind driver, int workers) {
+  MiddleboxRuntime::Config rc;
+  rc.name = name_prefix + kind + std::to_string(runtimes.size());
+  rc.cell = cell_label;
+  rc.fh = fh;
+  rc.driver = driver;
+  rc.n_workers = workers;
+  apps.push_back(std::move(app));
+  runtimes.push_back(std::make_unique<MiddleboxRuntime>(rc, *apps.back()));
+  engine.add_middlebox(*runtimes.back());
+  return *runtimes.back();
+}
+
+void Deployment::add_fabric(MiddleboxRuntime& rt, Port& north_peer,
+                            std::int64_t north_latency_ns,
+                            const std::vector<MacAddr>& north_macs,
+                            const std::vector<RuHandle*>& rus) {
+  Port& north = new_port(rt.config().name + ".north");
+  Port& south = new_port(rt.config().name + ".south");
+  rt.add_port("north", north);  // index 0: DasMiddlebox/DmimoMiddlebox::kNorth
+  rt.add_port("south", south);
+  Port::connect(north_peer, north, north_latency_ns);
+
+  EmbeddedSwitch& sw = new_switch(rt.config().name + ".fabric");
+  Port& sw_mb = sw.add_port("mb");
+  Port::connect(south, sw_mb, 500);
+  for (const MacAddr& mac : north_macs) sw.add_static_entry(mac, sw_mb);
+  for (auto* r : rus) {
+    Port& sw_ru = sw.add_port("ru" + std::to_string(r->index));
+    Port::connect(*r->port, sw_ru, 500);
+    sw.add_static_entry(r->mac, sw_ru);
+  }
+}
+
 MiddleboxRuntime& Deployment::add_das(DuHandle& du,
                                       const std::vector<RuHandle*>& ru_list,
                                       DriverKind driver, int workers) {
   DasConfig cfg;
   cfg.du_mac = du.du->config().du_mac;
   for (auto* r : ru_list) cfg.ru_macs.push_back(r->mac);
-  auto app = std::make_unique<DasMiddlebox>(cfg);
-
-  MiddleboxRuntime::Config rc;
-  rc.name = name_prefix + "das" + std::to_string(runtimes.size());
-  rc.cell = cell_label;
-  rc.fh = du.du->fh();
-  rc.driver = driver;
-  rc.n_workers = workers;
-  auto rt = std::make_unique<MiddleboxRuntime>(rc, *app);
-
-  Port& north = new_port(rc.name + ".north");
-  Port& south = new_port(rc.name + ".south");
-  rt->add_port("north", north);  // index 0 == DasMiddlebox::kNorth
-  rt->add_port("south", south);
-  Port::connect(*du.port, north, 1'000);
-
-  EmbeddedSwitch& sw = new_switch(rc.name + ".fabric");
-  Port& sw_mb = sw.add_port("mb");
-  Port::connect(south, sw_mb, 500);
-  sw.add_static_entry(cfg.du_mac, sw_mb);
-  for (auto* r : ru_list) {
-    Port& sw_ru = sw.add_port("ru" + std::to_string(r->index));
-    Port::connect(*r->port, sw_ru, 500);
-    sw.add_static_entry(r->mac, sw_ru);
-    air.assign_ru(du.cell, r->id, /*prb_offset=*/0);
-  }
-
-  engine.add_middlebox(*rt);
-  apps.push_back(std::move(app));
-  runtimes.push_back(std::move(rt));
-  return *runtimes.back();
+  MiddleboxRuntime& rt = add_runtime(std::make_unique<DasMiddlebox>(cfg),
+                                     "das", du.du->fh(), driver, workers);
+  add_fabric(rt, *du.port, 1'000, {cfg.du_mac}, ru_list);
+  for (auto* r : ru_list) air.assign_ru(du.cell, r->id, /*prb_offset=*/0);
+  return rt;
 }
 
 MiddleboxRuntime& Deployment::add_dmimo(DuHandle& du,
@@ -150,43 +161,19 @@ MiddleboxRuntime& Deployment::add_dmimo(DuHandle& du,
     air.assign_ru(du.cell, r->id, 0, std::move(layers));
     base += ants;
   }
-  auto app = std::make_unique<DmimoMiddlebox>(cfg);
-
-  MiddleboxRuntime::Config rc;
-  rc.name = name_prefix + "dmimo" + std::to_string(runtimes.size());
-  rc.cell = cell_label;
-  rc.fh = du.du->fh();
-  rc.driver = driver;
-  auto rt = std::make_unique<MiddleboxRuntime>(rc, *app);
-
-  Port& north = new_port(rc.name + ".north");
-  Port& south = new_port(rc.name + ".south");
-  rt->add_port("north", north);
-  rt->add_port("south", south);
-  Port::connect(*du.port, north, 1'000);
-
-  EmbeddedSwitch& sw = new_switch(rc.name + ".fabric");
-  Port& sw_mb = sw.add_port("mb");
-  Port::connect(south, sw_mb, 500);
-  sw.add_static_entry(cfg.du_mac, sw_mb);
-  for (auto* r : ru_list) {
-    Port& sw_ru = sw.add_port("ru" + std::to_string(r->index));
-    Port::connect(*r->port, sw_ru, 500);
-    sw.add_static_entry(r->mac, sw_ru);
-  }
-
-  engine.add_middlebox(*rt);
-  apps.push_back(std::move(app));
-  runtimes.push_back(std::move(rt));
-  return *runtimes.back();
+  MiddleboxRuntime& rt = add_runtime(std::make_unique<DmimoMiddlebox>(cfg),
+                                     "dmimo", du.du->fh(), driver);
+  add_fabric(rt, *du.port, 1'000, {cfg.du_mac}, ru_list);
+  return rt;
 }
 
-MiddleboxRuntime& Deployment::add_rushare(
-    const std::vector<ShareTenant>& tenants, RuHandle& ru, DriverKind driver,
-    int shift_sc) {
+MiddleboxRuntime& Deployment::add_share_stage(
+    const std::vector<ShareTenant>& tenants,
+    const std::vector<RuHandle*>& rus, DriverKind driver, int shift_sc) {
   RuShareConfig cfg;
-  cfg.ru_mac = ru.mac;
-  const RuSite& site = air.ru(ru.id);
+  cfg.ru_macs.clear();
+  for (auto* r : rus) cfg.ru_macs.push_back(r->mac);
+  const RuSite& site = air.ru(rus.front()->id);
   cfg.ru_n_prb = prbs_for_bandwidth(site.bandwidth, Scs::kHz30);
   cfg.ru_center_freq = site.center_freq;
   cfg.shift_sc = shift_sc;
@@ -199,60 +186,72 @@ MiddleboxRuntime& Deployment::add_rushare(
     sd.center_freq = dc.cell.center_freq;
     sd.prb_offset = prb_offset_in_ru(dc.cell, site);
     cfg.dus.push_back(sd);
-    air.assign_ru(t.cell, ru.id, sd.prb_offset);
+    for (auto* r : rus) air.assign_ru(t.cell, r->id, sd.prb_offset);
   }
-  auto app = std::make_unique<RuShareMiddlebox>(cfg);
-
-  MiddleboxRuntime::Config rc;
-  rc.name = name_prefix + "rushare" + std::to_string(runtimes.size());
-  rc.cell = cell_label;
   // South-side framing: the RU's carrier defines numPrbu==0 semantics.
-  rc.fh = tenants.front().du->fh();
-  rc.fh.carrier_prbs = cfg.ru_n_prb;
-  rc.driver = driver;
-  auto rt = std::make_unique<MiddleboxRuntime>(rc, *app);
-
-  Port& south = new_port(rc.name + ".south");
-  rt->add_port("south", south);  // index 0 == RuShareMiddlebox::kSouth
-  Port::connect(south, *ru.port, 1'000);
+  FhContext fh = tenants.front().du->fh();
+  fh.carrier_prbs = cfg.ru_n_prb;
+  MiddleboxRuntime& rt = add_runtime(std::make_unique<RuShareMiddlebox>(cfg),
+                                     "rushare", fh, driver);
+  Port& south = new_port(rt.config().name + ".south");
+  rt.add_port("south", south);  // index 0 == RuShareMiddlebox::kSouth
   for (std::size_t i = 0; i < tenants.size(); ++i) {
-    Port& north = new_port(rc.name + ".north" + std::to_string(i));
+    Port& north = new_port(rt.config().name + ".north" + std::to_string(i));
     // Each DU link is parsed with that DU's own carrier provisioning.
-    rt->add_port("north" + std::to_string(i), north, tenants[i].du->fh());
+    rt.add_port("north" + std::to_string(i), north, tenants[i].du->fh());
     Port::connect(*tenants[i].port, north, tenants[i].latency_ns);
   }
+  return rt;
+}
 
-  engine.add_middlebox(*rt);
-  apps.push_back(std::move(app));
-  runtimes.push_back(std::move(rt));
-  return *runtimes.back();
+MiddleboxRuntime& Deployment::add_rushare(
+    const std::vector<ShareTenant>& tenants, RuHandle& ru, DriverKind driver,
+    int shift_sc) {
+  MiddleboxRuntime& rt = add_share_stage(tenants, {&ru}, driver, shift_sc);
+  Port::connect(rt.port(RuShareMiddlebox::kSouth), *ru.port, 1'000);
+  return rt;
+}
+
+Deployment::ShareChain Deployment::add_rushare(
+    const std::vector<ShareTenant>& tenants,
+    const std::vector<RuHandle*>& rus) {
+  MiddleboxRuntime& share =
+      add_share_stage(tenants, rus, DriverKind::Dpdk, 0);
+  // The DAS stage carries the shared RU grid, framed like the share's
+  // south side. Its fabric sends every tenant's UL north to the share,
+  // which re-addresses each tenant's slice. It gets two merge workers: on
+  // one, a symbol's per-antenna-port merges queue behind each other and,
+  // after the share's demux and the extra hop, the last port reaches the
+  // DU past its reception window, which fails every UL slot.
+  std::vector<MacAddr> tenant_macs;
+  for (const ShareTenant& t : tenants)
+    tenant_macs.push_back(t.du->config().du_mac);
+  DasConfig cfg;
+  cfg.du_mac = tenant_macs.front();
+  for (auto* r : rus) cfg.ru_macs.push_back(r->mac);
+  MiddleboxRuntime& das = add_runtime(std::make_unique<DasMiddlebox>(cfg),
+                                      "das", share.config().fh,
+                                      DriverKind::Dpdk, /*workers=*/2);
+  add_fabric(das, share.port(RuShareMiddlebox::kSouth), kHopLatencyNs,
+             tenant_macs, rus);
+  return {&share, &das};
 }
 
 MiddleboxRuntime& Deployment::add_prbmon(DuHandle& du, RuHandle& ru,
                                          DriverKind driver) {
   PrbMonConfig cfg;
   cfg.n_prb = du.du->config().cell.n_prb();
-  auto app = std::make_unique<PrbMonitorMiddlebox>(cfg);
-
-  MiddleboxRuntime::Config rc;
-  rc.name = name_prefix + "prbmon" + std::to_string(runtimes.size());
-  rc.cell = cell_label;
-  rc.fh = du.du->fh();
-  rc.driver = driver;
-  auto rt = std::make_unique<MiddleboxRuntime>(rc, *app);
-
-  Port& north = new_port(rc.name + ".north");
-  Port& south = new_port(rc.name + ".south");
-  rt->add_port("north", north);
-  rt->add_port("south", south);
+  MiddleboxRuntime& rt = add_runtime(
+      std::make_unique<PrbMonitorMiddlebox>(cfg), "prbmon", du.du->fh(),
+      driver);
+  Port& north = new_port(rt.config().name + ".north");
+  Port& south = new_port(rt.config().name + ".south");
+  rt.add_port("north", north);
+  rt.add_port("south", south);
   Port::connect(*du.port, north, 1'000);
   Port::connect(south, *ru.port, 1'000);
   air.assign_ru(du.cell, ru.id, 0);
-
-  engine.add_middlebox(*rt);
-  apps.push_back(std::move(app));
-  runtimes.push_back(std::move(rt));
-  return *runtimes.back();
+  return rt;
 }
 
 MiddleboxRuntime& Deployment::add_failover(DuHandle& primary,
@@ -262,32 +261,21 @@ MiddleboxRuntime& Deployment::add_failover(DuHandle& primary,
   cfg.ru_mac = ru.mac;
   cfg.primary_du_mac = primary.du->config().du_mac;
   cfg.standby_du_mac = standby.du->config().du_mac;
-  auto app = std::make_unique<FailoverMiddlebox>(cfg);
-
-  MiddleboxRuntime::Config rc;
-  rc.name = name_prefix + "failover" + std::to_string(runtimes.size());
-  rc.cell = cell_label;
-  rc.fh = primary.du->fh();
-  rc.driver = driver;
-  auto rt = std::make_unique<MiddleboxRuntime>(rc, *app);
-
-  Port& south = new_port(rc.name + ".south");
-  Port& n_pri = new_port(rc.name + ".primary");
-  Port& n_sby = new_port(rc.name + ".standby");
-  rt->add_port("south", south);     // FailoverMiddlebox::kSouth
-  rt->add_port("primary", n_pri);   // kPrimary
-  rt->add_port("standby", n_sby);   // kStandby
+  MiddleboxRuntime& rt = add_runtime(std::make_unique<FailoverMiddlebox>(cfg),
+                                     "failover", primary.du->fh(), driver);
+  Port& south = new_port(rt.config().name + ".south");
+  Port& n_pri = new_port(rt.config().name + ".primary");
+  Port& n_sby = new_port(rt.config().name + ".standby");
+  rt.add_port("south", south);     // FailoverMiddlebox::kSouth
+  rt.add_port("primary", n_pri);   // kPrimary
+  rt.add_port("standby", n_sby);   // kStandby
   Port::connect(south, *ru.port, 1'000);
   Port::connect(*primary.port, n_pri, 1'000);
   Port::connect(*standby.port, n_sby, 1'000);
   // Both cells (same PCI, warm standby) radiate via the same RU.
   air.assign_ru(primary.cell, ru.id, 0);
   air.assign_ru(standby.cell, ru.id, 0);
-
-  engine.add_middlebox(*rt);
-  apps.push_back(std::move(app));
-  runtimes.push_back(std::move(rt));
-  return *runtimes.back();
+  return rt;
 }
 
 FaultyLink& Deployment::add_fault(Port& near, const FaultPlan& tx_plan,

@@ -1,14 +1,13 @@
 // Deployment builder: assembles DUs, RUs, middleboxes, fabric and UEs into
 // runnable topologies, owning every object. This is the experiment-facing
 // API: each paper scenario (baseline cell, DAS floor, dMIMO, shared RU,
-// chained services) is a few builder calls.
+// RU sharing chained with DAS) is a few builder calls.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "core/chain.h"
 #include "core/middlebox.h"
 #include "ctrl/controller.h"
 #include "net/fault.h"
@@ -95,6 +94,19 @@ class Deployment {
                                 DriverKind driver = DriverKind::Dpdk,
                                 int shift_sc = 0);
 
+  /// RU sharing chained with DAS (paper 6.3.2, Figure 12): the tenants
+  /// share a virtual RU that a DAS stage distributes over `rus`, so every
+  /// tenant cell radiates from every RU at its slice. The RUs must share
+  /// one grid. The share accepts UL from any member RU's MAC (the DAS
+  /// forwards merged UL with a member's source MAC) and addresses DL to
+  /// the first. Both stages use the DPDK driver.
+  struct ShareChain {
+    MiddleboxRuntime* share = nullptr;  ///< DU-facing RU-share stage
+    MiddleboxRuntime* das = nullptr;    ///< RU-facing DAS stage
+  };
+  ShareChain add_rushare(const std::vector<ShareTenant>& tenants,
+                         const std::vector<RuHandle*>& rus);
+
   /// Transparent PRB monitor between a DU and an RU (paper 4.4).
   MiddleboxRuntime& add_prbmon(DuHandle& du, RuHandle& ru,
                                DriverKind driver = DriverKind::Dpdk);
@@ -154,6 +166,11 @@ class Deployment {
   /// PRB offset of a DU's grid inside an RU's grid (aligned case).
   static int prb_offset_in_ru(const CellConfig& du_cell, const RuSite& ru);
 
+  /// Link latency between two chained middlebox stages: two PCIe
+  /// crossings (VF out, VF in) through the SR-IOV embedded switch (paper
+  /// Figure 8).
+  static constexpr std::int64_t kHopLatencyNs = 1'200;
+
   // --- members (public on purpose: experiments poke at everything) -----
   /// City mode: prepended to every generated port/switch/runtime/ctrl
   /// name (e.g. "c3/") so names stay unique across cell shards. Set
@@ -181,6 +198,26 @@ class Deployment {
   EmbeddedSwitch& new_switch(const std::string& name);
 
  private:
+  /// Create the runtime for `app`, named "<name_prefix><kind><index>",
+  /// register it with the engine and own both.
+  MiddleboxRuntime& add_runtime(std::unique_ptr<MiddleboxApp> app,
+                                const char* kind, const FhContext& fh,
+                                DriverKind driver, int workers = 1);
+  /// Wire a fan-out middlebox (DAS, dMIMO): port "north" (index 0)
+  /// links to `north_peer`; port "south" reaches `rus` through the
+  /// embedded switch "<rt name>.fabric", whose port "mb" routes
+  /// `north_macs` and whose port "ru<index>" routes each RU's MAC.
+  void add_fabric(MiddleboxRuntime& rt, Port& north_peer,
+                  std::int64_t north_latency_ns,
+                  const std::vector<MacAddr>& north_macs,
+                  const std::vector<RuHandle*>& rus);
+  /// RU-share runtime with its tenants' north links wired and every
+  /// tenant cell assigned to every RU of `rus` at its slice. The south
+  /// port is left for the caller to link.
+  MiddleboxRuntime& add_share_stage(const std::vector<ShareTenant>& tenants,
+                                    const std::vector<RuHandle*>& rus,
+                                    DriverKind driver, int shift_sc);
+
   std::int64_t measure_window_ns_ = 0;
 };
 

@@ -534,7 +534,8 @@ TEST(RuRadiation, PortBeyondAntennasIsDroppedAndNotReported) {
   const RuStats& st = rig.ru->stats();
   EXPECT_EQ(st.cplane_rx, 1u);
   EXPECT_EQ(st.uplane_rx, 0u);
-  EXPECT_EQ(st.unexpected_port_drops, 1u);
+  // Both the DL C-plane and the DL U-plane to port 3 count as drops.
+  EXPECT_EQ(st.unexpected_port_drops, 2u);
   EXPECT_EQ(st.uplane_without_cplane, 0u);
 }
 

@@ -1,10 +1,9 @@
-// Unit tests for the RANBooster core: cache, telemetry, management,
-// runtime accounting and chaining.
+// Unit tests for the RANBooster core: cache, telemetry, management and
+// runtime accounting.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "core/chain.h"
 #include "core/mgmt.h"
 #include "core/middlebox.h"
 
@@ -280,45 +279,6 @@ TEST(Mgmt, StateVerbRoundTripsRuntimeState) {
   EXPECT_NE(mgmt.handle("state load deadbeef").find("error:"),
             std::string::npos);
   EXPECT_NE(mgmt.handle("state info").find("bytes="), std::string::npos);
-}
-
-TEST(Chain, WiresStagesAndAccountsPcie) {
-  EchoApp app1, app2;
-  MiddleboxRuntime rt1(RuntimeRig::make_cfg(DriverKind::Dpdk, 1), app1);
-  MiddleboxRuntime rt2(RuntimeRig::make_cfg(DriverKind::Dpdk, 1), app2);
-  ChainBuilder chain;
-  const ChainPorts p1 = chain.append(rt1);
-  const ChainPorts p2 = chain.append(rt2);
-  EXPECT_EQ(p1.north, 0);
-  EXPECT_EQ(p1.south, 1);
-  EXPECT_EQ(p2.north, 0);
-  Port north("north"), south("south");
-  chain.finalize(north, south);
-
-  RuntimeRig helper;  // only for packet building
-  north.send(helper.make_cplane_packet(0));
-  rt1.pump(0, 0);
-  rt2.pump(0, 0);
-  std::vector<PacketPtr> rx;
-  ASSERT_EQ(south.rx_burst(rx), 1u);
-  // The frame crossed two inter-stage hops with modeled PCIe latency.
-  EXPECT_GE(rx[0]->rx_time_ns, 2 * ChainBuilder::kHopLatencyNs);
-  EXPECT_GT(chain.pcie_bytes(), 0u);
-  EXPECT_EQ(chain.num_stages(), 2u);
-}
-
-TEST(Chain, RefusesDoubleFinalizeAndEmpty) {
-  ChainBuilder empty;
-  Port a("a"), b("b");
-  EXPECT_THROW(empty.finalize(a, b), std::logic_error);
-  EchoApp app;
-  MiddleboxRuntime rt(RuntimeRig::make_cfg(DriverKind::Dpdk, 1), app);
-  ChainBuilder chain;
-  chain.append(rt);
-  Port c("c"), d("d");
-  chain.finalize(c, d);
-  EXPECT_THROW(chain.finalize(c, d), std::logic_error);
-  EXPECT_THROW(chain.append(rt), std::logic_error);
 }
 
 }  // namespace

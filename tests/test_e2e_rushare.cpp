@@ -1,7 +1,8 @@
 // End-to-end RU sharing (paper 4.3 / 6.2.3, Figure 10b): two 40 MHz DUs
 // share one 100 MHz RU; each cell's throughput equals a dedicated-RU
 // baseline. PRACH attach flows through the Algorithm 3 combine/demux with
-// the Appendix A.1 frequency translation.
+// the Appendix A.1 frequency translation. The chain suite covers RU
+// sharing chained with DAS (6.3.2, Figure 12).
 #include <gtest/gtest.h>
 
 #include "sim/deployment.h"
@@ -108,6 +109,95 @@ TEST(E2eRuShare, MisalignedGridsStillWorkViaRecompression) {
             0.8 * aligned.d.dl_mbps(aligned.ue_a));
   // The misaligned path must have done codec work; the aligned one none.
   EXPECT_GT(misaligned.rt->last_slot_max_latency_ns(), 0);
+}
+
+/// Figure 12 (paper 6.3.2): RU sharing chained with DAS. Two 40 MHz MNO
+/// cells share four 100 MHz RUs on one floor; the DAS stage carries the
+/// shared grid to every RU. Built only through Deployment.
+struct ChainRig {
+  Deployment d;
+  Deployment::DuHandle du_a, du_b;
+  std::vector<Deployment::RuHandle> rus;
+  Deployment::ShareChain chain;
+  UeId ue_a = -1, ue_b = -1;
+
+  ChainRig() {
+    const Hertz ru_center = GHz(3) + MHz(460);
+    const Hertz ca = aligned_du_center_frequency(ru_center, 273, 106, 10,
+                                                 Scs::kHz30);
+    const Hertz cb = aligned_du_center_frequency(ru_center, 273, 106, 150,
+                                                 Scs::kHz30);
+    du_a = d.add_du(cell40(ca, 1), srsran_profile(), 0);
+    du_b = d.add_du(cell40(cb, 2), srsran_profile(), 1);
+    for (int i = 0; i < 4; ++i) {
+      RuSite s;
+      s.pos = d.plan.ru_position(0, i);
+      s.n_antennas = 4;
+      s.bandwidth = MHz(100);
+      s.center_freq = ru_center;
+      rus.push_back(d.add_ru(s, std::uint8_t(i), du_a.du->fh()));
+    }
+    std::vector<Deployment::RuHandle*> ptrs;
+    for (auto& r : rus) ptrs.push_back(&r);
+    chain = d.add_rushare({&du_a, &du_b}, ptrs);
+    ue_a = d.add_ue(d.plan.near_ru(0, 0, 2.0), &du_a, 500.0, 50.0, 1);
+    ue_b = d.add_ue(d.plan.near_ru(0, 3, 2.0), &du_b, 500.0, 50.0, 2);
+  }
+};
+
+TEST(E2eRuShareChain, BothMnosCarryTrafficThroughDas) {
+  ChainRig rig;
+  ASSERT_TRUE(rig.d.attach_all(900));
+  EXPECT_EQ(rig.d.air.serving_cell(rig.ue_a), rig.du_a.cell);
+  EXPECT_EQ(rig.d.air.serving_cell(rig.ue_b), rig.du_b.cell);
+  rig.d.measure(400);
+  EXPECT_GE(rig.d.dl_mbps(rig.ue_a), 200.0);
+  EXPECT_GE(rig.d.dl_mbps(rig.ue_b), 200.0);
+  EXPECT_GT(rig.d.ul_mbps(rig.ue_a), 0.0);
+  EXPECT_GT(rig.d.ul_mbps(rig.ue_b), 0.0);
+  // Merged UL leaves the DAS stage with a member RU's source MAC, which
+  // the share accepts.
+  const Telemetry& share_tm = rig.chain.share->telemetry();
+  EXPECT_EQ(share_tm.counter("rushare_quarantine_src_mac"), 0u);
+  EXPECT_GT(share_tm.counter("rushare_ul_demuxed"), 0u);
+  EXPECT_GT(rig.chain.das->telemetry().counter("das_merges"), 0u);
+}
+
+TEST(E2eRuShareChain, ForeignSourceMacOnSouthPortIsQuarantined) {
+  ChainRig rig;
+  ASSERT_TRUE(rig.d.attach_all(900));
+  Telemetry& tm = rig.chain.share->telemetry();
+  ASSERT_EQ(tm.counter("rushare_quarantine_src_mac"), 0u);
+
+  // A well-formed UL U-plane frame from a MAC that is no member RU,
+  // arriving on the share's south port from the DAS stage's side.
+  const FhContext& fh = rig.chain.share->config().fh;
+  const int n_prb = 10;
+  std::vector<std::uint8_t> payload(fh.comp.prb_bytes() * n_prb);
+  UPlaneMsg hdr;
+  hdr.direction = Direction::Uplink;
+  USectionData sec;
+  sec.start_prb = 0;
+  sec.num_prb = n_prb;
+  sec.payload = payload;
+  EthHeader eth;
+  eth.src = MacAddr::mb(9);
+  eth.dst = rig.du_a.du->config().du_mac;
+  PacketPtr p = PacketPool::default_pool().alloc();
+  ASSERT_TRUE(p);
+  const std::size_t len = build_uplane_frame(p->raw(), eth, EaxcId{}, 0, hdr,
+                                             std::span(&sec, 1), fh);
+  ASSERT_GT(len, 0u);
+  p->set_len(len);
+
+  const std::uint64_t rx_a = rig.du_a.port->stats().rx_packets;
+  const std::uint64_t rx_b = rig.du_b.port->stats().rx_packets;
+  ASSERT_TRUE(rig.chain.das->port(DasMiddlebox::kNorth).send(std::move(p)));
+  rig.chain.share->pump(rig.d.engine.current_slot(),
+                        rig.d.engine.elapsed_ns());
+  EXPECT_EQ(tm.counter("rushare_quarantine_src_mac"), 1u);
+  EXPECT_EQ(rig.du_a.port->stats().rx_packets, rx_a);
+  EXPECT_EQ(rig.du_b.port->stats().rx_packets, rx_b);
 }
 
 }  // namespace

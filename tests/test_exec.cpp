@@ -1,5 +1,5 @@
-// Execution primitives under the city conductor: SPSC ring, MPSC drain,
-// worker pool, plus telemetry interning and publish reentrancy.
+// Execution primitives under the city conductor: SPSC ring and worker
+// pool, plus telemetry interning and publish reentrancy.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/telemetry.h"
-#include "exec/mpsc_drain.h"
 #include "exec/spsc_ring.h"
 #include "exec/worker_pool.h"
 
@@ -76,41 +75,6 @@ TEST(SpscRing, TwoThreadStressPreservesSequence) {
 }
 
 // ----------------------------------------------------------------------
-// MPSC drain
-// ----------------------------------------------------------------------
-
-TEST(MpscDrain, MultiProducerStressKeepsPerProducerFifo) {
-  constexpr int kProducers = 4;
-  constexpr std::uint64_t kPerProducer = 200'000;
-  exec::MpscDrain<std::pair<int, std::uint64_t>> drain(kProducers, 1024);
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer;) {
-        if (drain.try_push(std::size_t(p), {p, i}))
-          ++i;
-        else
-          std::this_thread::yield();
-      }
-    });
-  }
-
-  std::vector<std::uint64_t> next(kProducers, 0);
-  std::uint64_t total = 0;
-  while (total < kProducers * kPerProducer) {
-    drain.drain([&](const std::pair<int, std::uint64_t>& e) {
-      ASSERT_EQ(e.second, next[std::size_t(e.first)]);  // per-lane FIFO
-      ++next[std::size_t(e.first)];
-      ++total;
-    });
-  }
-  for (auto& t : producers) t.join();
-  drain.drain([&](const auto&) { FAIL() << "drain not empty"; });
-  for (int p = 0; p < kProducers; ++p) EXPECT_EQ(next[p], kPerProducer);
-}
-
-// ----------------------------------------------------------------------
 // Worker pool
 // ----------------------------------------------------------------------
 
@@ -138,15 +102,6 @@ TEST(WorkerPool, RoutesJobsToPinnedWorkersAndCountsStats) {
       ASSERT_EQ(probes[std::size_t(i)].seen_worker.load(), i % pool.size());
   }
   for (auto& p : probes) EXPECT_EQ(p.runs.load(), 50);
-
-  const auto merged = pool.merged_stats();
-  EXPECT_EQ(merged.jobs, probes.size() * 50);
-  std::uint64_t per_worker = 0;
-  for (int w = 0; w < pool.size(); ++w) per_worker += pool.stats(w).jobs;
-  EXPECT_EQ(per_worker, merged.jobs);  // shards sum to the merged view
-
-  pool.reset_stats();
-  EXPECT_EQ(pool.merged_stats().jobs, 0u);
 }
 
 // ----------------------------------------------------------------------

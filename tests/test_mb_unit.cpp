@@ -231,7 +231,7 @@ TEST(RuShareUnit, WidensOnlyFirstCplanePerSymbolRange) {
     return c;
   }();
   RuShareConfig cfg;
-  cfg.ru_mac = MacAddr::ru(0);
+  cfg.ru_macs = {MacAddr::ru(0)};
   cfg.ru_n_prb = 273;
   cfg.ru_center_freq = GHz(3) + MHz(460);
   cfg.dus = {{MacAddr::du(0), 0, 10, 106, GHz(3) + MHz(433)},
@@ -263,7 +263,7 @@ TEST(RuShareUnit, WidensOnlyFirstCplanePerSymbolRange) {
   auto f = parse_frame(out[0]->data(), ctx100());
   ASSERT_TRUE(f.has_value());
   EXPECT_EQ(f->cplane().sections[0].effective_prbs(273), 273);
-  EXPECT_EQ(f->eth.dst, cfg.ru_mac);
+  EXPECT_EQ(f->eth.dst, cfg.ru_macs.front());
 
   h.ext[2]->send(cplane(1));  // same symbols: absorbed
   h.rt.pump(0, 0);
