@@ -29,8 +29,8 @@ constexpr int kWarmupSlots = 40;
 constexpr int kMeasureSlots = 200;
 
 /// Resident set size in MiB, from /proc/self/status (Linux only; 0 when
-/// unavailable). Monotonic across the sweep - the interesting reading is
-/// the growth per added cell, not the absolute base.
+/// unavailable). Read while the city is alive; packet pools commit only
+/// the slots they hand out, so it follows each city's own footprint.
 double rss_mib() {
   std::FILE* f = std::fopen("/proc/self/status", "r");
   if (!f) return 0.0;

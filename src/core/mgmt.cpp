@@ -123,6 +123,7 @@ std::string MgmtEndpoint::handle(const std::string& cmd) {
     os << "pool_capacity=" << rt_->pool().capacity() << "\n";
     os << "pool_alloc_failures=" << rt_->pool().alloc_failures() << "\n";
     os << "pool_arena_bytes=" << rt_->pool().arena_bytes() << "\n";
+    os << "pool_slots_touched=" << rt_->pool().slots_touched() << "\n";
     os << "pool_shared_segments=" << rt_->pool().shared_segments() << "\n";
     os << "pool_cow_promotions=" << rt_->pool().cow_promotions() << "\n";
     os << "pool_replicas_zero_copy=" << rt_->pool().replicas_zero_copy()
@@ -168,9 +169,9 @@ std::string MgmtEndpoint::handle(const std::string& cmd) {
     };
     hist("rb_burst_size", rt_->burst_size_hist());
     hist("rb_burst_occupancy", rt_->burst_occupancy_hist());
-    // Packet-pool zero-copy datapath stats. Scrape-only: CoW promotion
-    // and shared-segment counts depend on cross-thread release timing,
-    // so they stay out of the determinism fingerprint and save_state.
+    // Packet-pool stats. Scrape-only: CoW promotion, shared-segment and
+    // touched-slot counts depend on cross-thread release timing, so they
+    // stay out of the determinism fingerprint and save_state.
     const auto pool_series = [&](const char* name, const char* type,
                                  auto value) {
       os << "# TYPE " << name << " " << type << "\n";
@@ -178,6 +179,7 @@ std::string MgmtEndpoint::handle(const std::string& cmd) {
     };
     const PacketPool& pool = rt_->pool();
     pool_series("rb_pool_arena_bytes", "gauge", pool.arena_bytes());
+    pool_series("rb_pool_slots_touched", "gauge", pool.slots_touched());
     pool_series("rb_pool_shared_segments", "gauge", pool.shared_segments());
     pool_series("rb_pool_cow_promotions", "counter", pool.cow_promotions());
     pool_series("rb_pool_replicas_zero_copy", "counter",

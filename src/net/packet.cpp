@@ -1,6 +1,8 @@
 #include "net/packet.h"
 
 #include <cstring>
+#include <new>
+#include <type_traits>
 
 namespace rb {
 namespace {
@@ -96,33 +98,44 @@ void Packet::ensure_writable_slow(std::size_t upto) {
   pool_->owner_copy_out(*this);
 }
 
+namespace {
+
+/// Never-null wrapper for the pool's C allocations (make_unique would have
+/// thrown on failure too).
+template <class T>
+T* checked(void* p) {
+  if (p == nullptr) throw std::bad_alloc();
+  return static_cast<T*>(p);
+}
+
+}  // namespace
+
 PacketPool::PacketPool(std::size_t capacity) : capacity_(capacity) {
+  static_assert(std::is_trivially_destructible_v<Packet> &&
+                    std::is_trivially_destructible_v<PacketSlot>,
+                "carved headers and slot states are never destroyed");
   mag_cap_ = capacity_ / 8;
   if (mag_cap_ > kMagazineSize) mag_cap_ = kMagazineSize;
   if (mag_cap_ == 0) mag_cap_ = 1;
-  arena_storage_ =
-      std::make_unique<std::uint8_t[]>(capacity * kPacketCapacity + 63);
+  // calloc, not a zero-filling new[]: an arena this size comes from fresh
+  // mmap pages that calloc knows are zero, so nothing is written here and
+  // a slot commits its pages on first write. An unwritten slot reads zero.
+  arena_storage_.reset(
+      checked<std::uint8_t>(std::calloc(capacity * kPacketCapacity + 63, 1)));
   const std::uintptr_t raw =
       reinterpret_cast<std::uintptr_t>(arena_storage_.get());
   arena_ = reinterpret_cast<std::uint8_t*>((raw + 63) & ~std::uintptr_t(63));
-  slots_ = std::make_unique<PacketSlot[]>(capacity);
-  storage_ = std::make_unique<Packet[]>(capacity);
+  slots_.reset(checked<PacketSlot>(std::malloc(capacity * sizeof(PacketSlot))));
+  headers_.reset(checked<Packet>(std::malloc(capacity * sizeof(Packet))));
   free_.reserve(capacity);
   spare_pkts_.reserve(capacity);
   spare_slots_.reserve(capacity);
-  for (std::size_t i = 0; i < capacity; ++i) {
-    Packet* p = &storage_[i];
-    p->pool_ = this;
-    p->base_ = arena_ + i * kPacketCapacity;
-    p->own_ps_ = &slots_[i];
-    free_.push_back(p);
-  }
   mags_ = std::make_unique<Magazine[]>(kMaxThreadSlots);
   std::lock_guard<std::mutex> lk(registry_mu());
   live_pools().push_back(this);
 }
 
-// Buffers parked in magazines are just pointers into storage_; nothing to
+// Buffers parked in magazines are just pointers into headers_; nothing to
 // hand back on destruction beyond dropping out of the thread-exit flush
 // registry.
 PacketPool::~PacketPool() {
@@ -149,6 +162,22 @@ PacketPool::Magazine* PacketPool::my_magazine() {
   return &mags_[slot];
 }
 
+Packet* PacketPool::take_pair_locked() {
+  if (!free_.empty()) {
+    Packet* p = free_.back();
+    free_.pop_back();
+    return p;
+  }
+  if (carved_ == capacity_) return nullptr;
+  const std::size_t i = capacity_ - 1 - carved_++;
+  PacketSlot* ps = new (slots_.get() + i) PacketSlot;
+  Packet* p = new (headers_.get() + i) Packet;
+  p->pool_ = this;
+  p->base_ = arena_ + i * kPacketCapacity;
+  p->own_ps_ = ps;
+  return p;
+}
+
 PacketPtr PacketPool::alloc() {
   Packet* p = nullptr;
   Magazine* m = my_magazine();
@@ -156,28 +185,23 @@ PacketPtr PacketPool::alloc() {
     p = m->items[--m->count];
   } else {
     std::lock_guard<std::mutex> lk(mu_);
-    if (free_.empty() && !spare_pkts_.empty() && !spare_slots_.empty()) {
+    p = take_pair_locked();
+    if (p == nullptr && !spare_pkts_.empty() && !spare_slots_.empty()) {
       // Re-pair a parked header with a parked slot (divergent owner and
       // replica lifetimes can leave one of each stranded).
-      Packet* q = spare_pkts_.back();
+      p = spare_pkts_.back();
       spare_pkts_.pop_back();
-      q->base_ = spare_slots_.back();
+      p->base_ = spare_slots_.back();
       spare_slots_.pop_back();
-      q->own_ps_ = slot_state(q->base_);
-      free_.push_back(q);
+      p->own_ps_ = slot_state(p->base_);
     }
-    if (!free_.empty()) {
-      p = free_.back();
-      free_.pop_back();
-      if (m != nullptr) {
-        // Batch-refill while we hold the lock so the next half-magazine
-        // of allocs on this thread stays lock-free.
-        std::size_t take =
-            free_.size() < mag_cap_ / 2 ? free_.size() : mag_cap_ / 2;
-        while (take-- > 0) {
-          m->items[m->count++] = free_.back();
-          free_.pop_back();
-        }
+    if (p != nullptr && m != nullptr) {
+      // Batch-refill while we hold the lock so the next half-magazine
+      // of allocs on this thread stays lock-free.
+      for (std::size_t k = 0; k < mag_cap_ / 2; ++k) {
+        Packet* q = take_pair_locked();
+        if (q == nullptr) break;
+        m->items[m->count++] = q;
       }
     }
   }
@@ -292,10 +316,9 @@ void PacketPool::owner_copy_out(Packet& p) {
     if (!spare_slots_.empty()) {
       ns = spare_slots_.back();
       spare_slots_.pop_back();
-    } else if (!free_.empty()) {
-      // Break a free pair: take its slot, park the header.
-      Packet* q = free_.back();
-      free_.pop_back();
+    } else if (Packet* q = take_pair_locked()) {
+      // Break a free (or freshly carved) pair: take its slot, park the
+      // header.
       ns = q->base_;
       q->base_ = nullptr;
       q->own_ps_ = nullptr;

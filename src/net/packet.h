@@ -7,10 +7,13 @@
 //
 // Buffer memory is one contiguous, cache-line-aligned arena per pool,
 // carved into fixed 9216-byte slots, so burst-path walks touch sequential
-// memory. Replication is zero-copy in the common case: a replica carries a
-// small private head (the bytes rewritten per egress - Ethernet MACs,
-// eCPRI header) and attaches to the source's payload slot through an
-// atomic refcount, the same indirect-mbuf idiom DPDK uses for multicast
+// memory. The arena is reserved up front but committed lazily: a slot's
+// pages (and its header) are first touched when the slot is first handed
+// out, so a pool costs the slots it carries, not its capacity.
+// Replication is zero-copy in the common case: a replica carries a small
+// private head (the bytes rewritten per egress - Ethernet MACs, eCPRI
+// header) and attaches to the source's payload slot through an atomic
+// refcount, the same indirect-mbuf idiom DPDK uses for multicast
 // fan-out. Any write that would touch the shared region promotes the
 // writer to a private buffer first (copy-on-write), so replicas observe a
 // stable snapshot regardless of release order or thread.
@@ -20,6 +23,7 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -186,6 +190,12 @@ using PacketPtr = std::unique_ptr<Packet, PacketDeleter>;
 /// a free pair). Replicas may be released on a different thread than the
 /// segment owner; the refcount transfer uses acq_rel so the recycler sees
 /// every reader's final access.
+///
+/// Pairs are carved on demand: the free list starts empty, and when it
+/// runs dry the next never-used header+slot pair is constructed in place,
+/// from index capacity-1 downward - the order an eagerly filled free list
+/// would pop them in - so hand-out order is independent of when a pair
+/// was carved.
 class PacketPool {
  public:
   explicit PacketPool(std::size_t capacity = 4096);
@@ -216,8 +226,15 @@ class PacketPool {
     return alloc_failures_.load(std::memory_order_acquire);
   }
 
-  /// Total bytes of the contiguous buffer arena.
+  /// Bytes reserved for the contiguous buffer arena (address space; see
+  /// slots_touched() for how much of it has been committed).
   std::size_t arena_bytes() const { return capacity_ * kPacketCapacity; }
+  /// Slots carved so far (handed out at least once). Bounds the committed
+  /// arena at slots_touched() * kPacketCapacity bytes.
+  std::size_t slots_touched() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return carved_;
+  }
   /// Slots currently referenced by more than one handle.
   std::int64_t shared_segments() const {
     const std::int64_t v = shared_segments_.load(std::memory_order_acquire);
@@ -278,17 +295,29 @@ class PacketPool {
   void promote(Packet& p);
   /// This thread's magazine, or nullptr when the slot space is exhausted.
   Magazine* my_magazine();
+  /// Pop a free header+slot pair, or carve the next never-used one;
+  /// nullptr when neither is left. Caller holds mu_.
+  Packet* take_pair_locked();
   PacketSlot* slot_state(const std::uint8_t* slot_base) {
-    return &slots_[std::size_t(slot_base - arena_) / kPacketCapacity];
+    return slots_.get() + std::size_t(slot_base - arena_) / kPacketCapacity;
   }
+
+  /// Storage from std::malloc / std::calloc. Headers and slot states are
+  /// trivially destructible, so carved entries need no destructor call.
+  struct FreeDeleter {
+    void operator()(void* p) const { std::free(p); }
+  };
 
   std::size_t capacity_;
   std::size_t mag_cap_;  // min(kMagazineSize, capacity_/8), at least 1
-  std::unique_ptr<std::uint8_t[]> arena_storage_;
+  std::unique_ptr<std::uint8_t, FreeDeleter> arena_storage_;  // calloc'd
   std::uint8_t* arena_ = nullptr;  // 64-byte-aligned view of arena_storage_
-  std::unique_ptr<PacketSlot[]> slots_;
-  std::unique_ptr<Packet[]> storage_;
-  mutable std::mutex mu_;  // guards free_, spare_pkts_, spare_slots_
+  // capacity_ entries of uninitialised storage; entry i is constructed
+  // when pair i is carved.
+  std::unique_ptr<PacketSlot, FreeDeleter> slots_;
+  std::unique_ptr<Packet, FreeDeleter> headers_;
+  mutable std::mutex mu_;  // guards free_, spare_*, carved_
+  std::size_t carved_ = 0;                // pairs carved so far
   std::vector<Packet*> free_;             // paired header + slot
   std::vector<Packet*> spare_pkts_;       // headers whose slot is still read
   std::vector<std::uint8_t*> spare_slots_;  // slots awaiting a header

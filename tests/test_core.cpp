@@ -236,6 +236,23 @@ TEST(Mgmt, BuiltinAndAppCommands) {
   EXPECT_EQ(mgmt.handle("ping"), "pong");  // delegated to the app
 }
 
+TEST(Mgmt, PoolSlotsTouchedIsScraped) {
+  RuntimeRig rig;
+  MgmtEndpoint mgmt(rig.rt);
+  auto p = rig.rt.pool().alloc();
+  ASSERT_TRUE(p);
+  const std::size_t touched = rig.rt.pool().slots_touched();
+  EXPECT_GE(touched, 1u);
+  EXPECT_LT(touched, rig.rt.pool().capacity());  // capacity stays uncarved
+  const std::string n = std::to_string(touched);
+  EXPECT_NE(mgmt.handle("cpuinfo").find("pool_slots_touched=" + n + "\n"),
+            std::string::npos);
+  EXPECT_NE(mgmt.handle("prom").find("# TYPE rb_pool_slots_touched gauge\n"
+                                     "rb_pool_slots_touched{mb=\"echo\"} " +
+                                     n + "\n"),
+            std::string::npos);
+}
+
 TEST(Mgmt, UnknownVerbListsRegisteredVerbs) {
   RuntimeRig rig;
   MgmtEndpoint mgmt(rig.rt);

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -264,6 +267,126 @@ TEST(PacketPoolShared, CrossThreadReplicaSoak) {
     all.push_back(pool.alloc());
     ASSERT_TRUE(all.back());
   }
+}
+
+// Resident set of this process in KiB, or -1 when it cannot be read.
+long vm_rss_kib() {
+  std::ifstream f("/proc/self/status");
+  std::string line;
+  while (std::getline(f, line))
+    if (line.rfind("VmRSS:", 0) == 0)
+      return std::strtol(line.c_str() + 6, nullptr, 10);
+  return -1;
+}
+
+TEST(PacketPoolLazy, FreshPoolCarvesSlotsDownFromTheTopZeroed) {
+  // 1024 slots: magazine cap 64, so a locked refill hands 1 + 32 packets
+  // and 100 allocs cross several refills.
+  PacketPool pool(1024);
+  EXPECT_EQ(pool.slots_touched(), 0u);
+  std::vector<PacketPtr> held;
+  std::vector<const std::uint8_t*> addrs;
+  for (int i = 0; i < 100; ++i) {
+    held.push_back(pool.alloc());
+    ASSERT_TRUE(held.back());
+    addrs.push_back(held.back()->raw().data());
+  }
+  EXPECT_LE(pool.slots_touched(), 100u + 32u);  // at most one refill ahead
+  // The first hand-out is the arena's top slot, and the 100 slots are the
+  // top 100, one kPacketCapacity apart. Carving runs strictly downward;
+  // the magazine hands each refill batch back in reverse, as it did when
+  // the free list was filled eagerly.
+  std::vector<const std::uint8_t*> sorted = addrs;
+  std::sort(sorted.rbegin(), sorted.rend());
+  EXPECT_EQ(addrs.front(), sorted.front());
+  for (std::size_t i = 1; i < sorted.size(); ++i)
+    ASSERT_EQ(sorted[i - 1] - sorted[i], std::ptrdiff_t(kPacketCapacity));
+  const auto raw = held.back()->raw();
+  EXPECT_TRUE(std::all_of(raw.begin(), raw.end(),
+                          [](std::uint8_t b) { return b == 0; }));
+}
+
+TEST(PacketPoolLazy, OwnerCopyOutCarvesWhenFreeListIsEmpty) {
+  // Capacity 8: the magazine never refills, nothing has been released, so
+  // the free list and the magazine are empty while 6 slots are uncarved.
+  PacketPool pool(8);
+  auto p = patterned(pool, 32, 512);
+  auto r = pool.replicate(*p, 32);
+  ASSERT_TRUE(r);
+  EXPECT_EQ(pool.slots_touched(), 2u);
+  p->mutable_data()[200] = 0xee;  // owner writes into the shared region
+  EXPECT_EQ(pool.cow_promotions(), 1u);
+  EXPECT_EQ(pool.cow_fallbacks(), 0u);
+  EXPECT_EQ(pool.slots_touched(), 3u);
+  EXPECT_EQ(p->bytes(200, 1)[0], 0xee);
+  EXPECT_EQ(r->bytes(200, 1)[0], 0x22);  // replica keeps its snapshot
+}
+
+TEST(PacketPoolLazy, ConstructionCommitsNoArena) {
+#if defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "TSan's calloc zero-fills, committing the whole arena";
+#endif
+  const long before = vm_rss_kib();
+  if (before < 0) GTEST_SKIP() << "VmRSS not readable";
+  PacketPool pool(16384);  // 144 MiB of arena reserved
+  const long after = vm_rss_kib();
+  EXPECT_LT(after - before, 8 * 1024) << "KiB committed by construction";
+  EXPECT_EQ(pool.slots_touched(), 0u);
+}
+
+TEST(PacketPoolLazy, CrossThreadSoakOnFreshPoolDrains) {
+  // Producers carve and allocate, consumers release on other threads.
+  constexpr int kPairs = 2;
+  constexpr int kPerProducer = 3000;
+  PacketPool pool(512);
+  std::mutex mu;
+  std::vector<PacketPtr> q;
+  std::atomic<int> producers_left{kPairs};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kPairs; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerProducer;) {
+        auto p = pool.alloc();
+        if (!p) {
+          std::this_thread::yield();
+          continue;
+        }
+        p->raw()[0] = std::uint8_t(i);
+        p->set_len(64);
+        std::lock_guard<std::mutex> lk(mu);
+        q.push_back(std::move(p));
+        ++i;
+      }
+      producers_left.fetch_sub(1, std::memory_order_release);
+    });
+    threads.emplace_back([&] {
+      for (;;) {
+        PacketPtr p;
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          if (!q.empty()) {
+            p = std::move(q.back());
+            q.pop_back();
+          }
+        }
+        if (!p && producers_left.load(std::memory_order_acquire) == 0) {
+          std::lock_guard<std::mutex> lk(mu);
+          if (q.empty()) break;
+        }
+        if (!p) std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(pool.in_use(), 0u);
+  EXPECT_LE(pool.slots_touched(), pool.capacity());
+  // Every buffer made it back: the full capacity allocates again.
+  std::vector<PacketPtr> all;
+  for (std::size_t i = 0; i < pool.capacity(); ++i) {
+    all.push_back(pool.alloc());
+    ASSERT_TRUE(all.back());
+  }
+  EXPECT_EQ(pool.slots_touched(), pool.capacity());
 }
 
 TEST(Port, SendDeliversWithLatency) {
