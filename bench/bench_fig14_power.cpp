@@ -41,76 +41,21 @@ void das_dmimo_chain(double* per_floor_all_active,
   auto du = d.add_du(cell_cfg(MHz(100), kBand78Center, 1, 4),
                      srsran_profile(), 0);
 
-  // DAS stage towards five per-floor dMIMO stages.
-  DasConfig dcfg;
-  dcfg.du_mac = du.du->config().du_mac;
-  for (int f = 0; f < 5; ++f) dcfg.ru_macs.push_back(MacAddr::mb(f + 10));
-  d.apps.push_back(std::make_unique<DasMiddlebox>(dcfg));
-  MiddleboxRuntime::Config dc;
-  dc.name = "das";
-  dc.fh = du.du->fh();
-  dc.n_workers = 2;  // five branches exceed the one-core merge budget
-  d.runtimes.push_back(std::make_unique<MiddleboxRuntime>(dc, *d.apps.back()));
-  auto* das_rt = d.runtimes.back().get();
-  Port& das_north = d.new_port("das.north");
-  Port& das_south = d.new_port("das.south");
-  das_rt->add_port("north", das_north);
-  das_rt->add_port("south", das_south);
-  Port::connect(*du.port, das_north, 1'000);
-  EmbeddedSwitch& sw = d.new_switch("fabric");
-  Port& sw_das = sw.add_port("das");
-  Port::connect(das_south, sw_das, 500);
-  sw.add_static_entry(dcfg.du_mac, sw_das);
-  d.engine.add_middlebox(*das_rt);
-
+  // Four 1-antenna RUs per floor, each with a UE 3 m away; one dMIMO
+  // group per floor.
+  std::vector<Deployment::RuHandle> rus;
   std::vector<UeId> ues;
-  for (int f = 0; f < 5; ++f) {
-    // One dMIMO stage per floor, addressed as the DAS branch MAC.
-    DmimoConfig mcfg;
-    mcfg.du_mac = dcfg.du_mac;
-    const auto& ssb = du.du->config().cell.ssb;
-    mcfg.ssb_start_prb = ssb.start_prb;
-    mcfg.ssb_n_prb = ssb.n_prb;
-    mcfg.ssb_period_slots = ssb.period_slots;
-    mcfg.ssb_first_symbol = ssb.first_symbol;
-    mcfg.ssb_n_symbols = ssb.n_symbols;
-
-    std::vector<Deployment::RuHandle> rus;
-    for (int i = 0; i < 4; ++i)
+  for (int f = 0; f < 5; ++f)
+    for (int i = 0; i < 4; ++i) {
       rus.push_back(d.add_ru(
           ru_site(d.plan.ru_position(f, i), 1, MHz(100), kBand78Center),
           std::uint8_t(f * 4 + i), du.du->fh()));
-    for (int i = 0; i < 4; ++i) {
-      mcfg.rus.push_back({rus[std::size_t(i)].mac, 1});
-      d.air.assign_ru(du.cell, rus[std::size_t(i)].id, 0, {{i, 0}});
-    }
-    d.apps.push_back(std::make_unique<DmimoMiddlebox>(mcfg));
-    MiddleboxRuntime::Config mc;
-    mc.name = "dmimo" + std::to_string(f);
-    mc.fh = du.du->fh();
-    d.runtimes.push_back(
-        std::make_unique<MiddleboxRuntime>(mc, *d.apps.back()));
-    auto* rt = d.runtimes.back().get();
-    Port& north = d.new_port(mc.name + ".north");
-    Port& south = d.new_port(mc.name + ".south");
-    rt->add_port("north", north);
-    rt->add_port("south", south);
-    Port& sw_mb = sw.add_port(mc.name);
-    Port::connect(north, sw_mb, 500);
-    sw.add_static_entry(dcfg.ru_macs[std::size_t(f)], sw_mb);
-    EmbeddedSwitch& floor_sw = d.new_switch(mc.name + ".floor");
-    Port& fsw_mb = floor_sw.add_port("mb");
-    Port::connect(south, fsw_mb, 500);
-    floor_sw.add_static_entry(dcfg.du_mac, fsw_mb);
-    for (auto& r : rus) {
-      Port& fsw_ru = floor_sw.add_port("ru");
-      Port::connect(*r.port, fsw_ru, 500);
-      floor_sw.add_static_entry(r.mac, fsw_ru);
-    }
-    d.engine.add_middlebox(*rt);
-    for (int i = 0; i < 4; ++i)
       ues.push_back(d.add_ue(d.plan.near_ru(f, i, 3.0), &du, 400, 0));
-  }
+    }
+  std::vector<std::vector<Deployment::RuHandle*>> floors(5);
+  for (std::size_t r = 0; r < rus.size(); ++r)
+    floors[r / 4].push_back(&rus[r]);
+  d.add_das(du, floors);
 
   d.attach_all(900);
   d.measure(300);

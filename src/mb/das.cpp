@@ -101,8 +101,8 @@ void DasMiddlebox::uplink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
   if (!entries) return;  // evicted under cap pressure
   if (entries->size() == 1) pending_.push_back({key, rx_ns});
   // Completion is judged against the *active* combine set: an ejected
-  // member's copy is cached (and later dropped at combine as a
-  // non-member) but never holds the group open.
+  // member's copy is cached (and later dropped at combine as an ejected
+  // copy) but never holds the group open.
   std::size_t distinct_rus = 0;
   for (std::size_t i = 0; i < cfg_.ru_macs.size(); ++i) {
     if (!active_[i]) continue;
@@ -124,21 +124,23 @@ std::size_t DasMiddlebox::active_members() const {
   return n;
 }
 
+int DasMiddlebox::member_index(const MacAddr& mac) const {
+  const auto it = std::find(cfg_.ru_macs.begin(), cfg_.ru_macs.end(), mac);
+  return it == cfg_.ru_macs.end() ? -1 : int(it - cfg_.ru_macs.begin());
+}
+
 bool DasMiddlebox::member_active(const MacAddr& mac) const {
-  for (std::size_t i = 0; i < cfg_.ru_macs.size(); ++i)
-    if (cfg_.ru_macs[i] == mac) return active_[i];
-  return false;
+  const int i = member_index(mac);
+  return i >= 0 && active_[std::size_t(i)];
 }
 
 bool DasMiddlebox::set_member_active(const MacAddr& mac, bool active) {
-  for (std::size_t i = 0; i < cfg_.ru_macs.size(); ++i) {
-    if (!(cfg_.ru_macs[i] == mac)) continue;
-    if (active_[i] == active) return true;
-    if (!active && active_members() <= 1) return false;  // keep one alive
-    active_[i] = active;
-    return true;
-  }
-  return false;
+  const int i = member_index(mac);
+  if (i < 0) return false;
+  if (active_[std::size_t(i)] == active) return true;
+  if (!active && active_members() <= 1) return false;  // keep one alive
+  active_[std::size_t(i)] = active;
+  return true;
 }
 
 void DasMiddlebox::combine_group(std::uint64_t key, MbContext& ctx) {
@@ -176,9 +178,24 @@ void DasMiddlebox::combine_group(std::uint64_t key, MbContext& ctx) {
     }
   }
   iqstats::raise_hwm(iqstats::arena_copies_hwm(), copies.size());
-  if (batch.size() > copies.size())
-    ctx.telemetry().inc("das_duplicate_copies",
-                        std::uint64_t(batch.size() - copies.size()));
+  if (batch.size() > copies.size()) {
+    // Count each copy left out under exactly one reason. `copies` holds
+    // one copy per active member, so any other active member's copy is a
+    // duplicate.
+    std::uint64_t ejected = 0, unknown = 0;
+    for (const auto& e : batch) {
+      const int m = member_index(e.frame.eth.src);
+      if (m < 0)
+        ++unknown;
+      else if (!active_[std::size_t(m)])
+        ++ejected;
+    }
+    const std::uint64_t duplicate =
+        batch.size() - copies.size() - ejected - unknown;
+    if (duplicate) ctx.telemetry().inc("das_duplicate_copies", duplicate);
+    if (ejected) ctx.telemetry().inc("das_ejected_copies", ejected);
+    if (unknown) ctx.telemetry().inc("das_unknown_source_copies", unknown);
+  }
   if (copies.empty()) {
     // Copies from unknown sources only; nothing trustworthy to combine.
     ctx.telemetry().inc("das_merge_failures");

@@ -14,8 +14,11 @@
 // arrive this phase has), the group is combined from whatever copies made
 // it (das_partial_merges / das_missing_copies). Copies that straggle in
 // after their group was flushed, or that carry a stale slot, are dropped
-// and counted (das_late_copies). Duplicate copies from the same RU are
-// merged once (das_duplicate_copies).
+// and counted (das_late_copies). A combine merges one copy per active
+// member and counts each copy it leaves out under one reason: a second
+// copy from a member that already contributed (das_duplicate_copies),
+// a copy from an ejected member (das_ejected_copies) or one from a MAC
+// outside the distribution set (das_unknown_source_copies).
 #pragma once
 
 #include <vector>
@@ -85,6 +88,8 @@ class DasMiddlebox final : public MiddleboxApp {
   /// sum north; counts full vs partial merges.
   void combine_group(std::uint64_t key, MbContext& ctx);
   bool group_done(std::uint64_t key) const;
+  /// Index of `mac` in the distribution set, or -1.
+  int member_index(const MacAddr& mac) const;
 
   DasConfig cfg_;
   std::vector<bool> active_;         // combine-set membership per ru_macs[i]

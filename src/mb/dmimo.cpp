@@ -178,14 +178,7 @@ void DmimoMiddlebox::downlink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
 
 void DmimoMiddlebox::uplink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
   // Identify the source RU and remap its local port to the cell layer.
-  const MacAddr src = frame.eth.src;
-  int ru_index = -1;
-  for (std::size_t i = 0; i < cfg_.rus.size(); ++i) {
-    if (cfg_.rus[i].mac == src) {
-      ru_index = int(i);
-      break;
-    }
-  }
+  const int ru_index = ru_index_of(frame.eth.src);
   if (ru_index < 0) {
     ctx.telemetry().inc("dmimo_unknown_ru");
     ctx.drop(std::move(p));
@@ -202,7 +195,8 @@ void DmimoMiddlebox::uplink(PacketPtr p, FhFrame& frame, MbContext& ctx) {
       ctx.telemetry().inc("dmimo_ul_remaps");
     }
   }
-  ctx.forward(std::move(p), kNorth, cfg_.du_mac);
+  // North, the group presents itself as one RU: its first RU's MAC.
+  ctx.forward(std::move(p), kNorth, cfg_.du_mac, cfg_.rus.front().mac);
 }
 
 std::string DmimoMiddlebox::on_mgmt(const std::string& cmd) {

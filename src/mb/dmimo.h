@@ -4,10 +4,11 @@
 // their antennas. The DU believes it drives a single N-antenna RU; each
 // physical RU believes it talks to a DU with exactly its own antenna
 // count. Per frame, the middlebox remaps the eAxC antenna-port id (A4)
-// and redirects to the owning RU (A1). It also copies the SSB PRBs from
-// the primary antenna's U-plane packets into the packets of the other
-// RUs' first antennas (A4), so coverage does not collapse to the primary
-// RU's neighbourhood.
+// and redirects to the owning RU (A1); uplink leaves with the first RU's
+// MAC as its source, so a stage north of it (a DAS) sees one RU. It also
+// copies the SSB PRBs from the primary antenna's U-plane packets into the
+// packets of the other RUs' first antennas (A4), so coverage does not
+// collapse to the primary RU's neighbourhood.
 #pragma once
 
 #include <vector>

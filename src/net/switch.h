@@ -35,10 +35,6 @@ class EmbeddedSwitch {
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t runt_dropped() const { return runt_dropped_; }
 
-  /// Per-hop forwarding latency added to packets (models switch + PCIe
-  /// cost for the embedded NIC switch case).
-  void set_hop_latency_ns(std::int64_t ns) { hop_latency_ns_ = ns; }
-
   /// Checkpoint the learned FDB and forwarding counters (static entries
   /// and port wiring are config). Learned entries are serialized sorted
   /// by MAC so the blob is deterministic; without them a restored switch
@@ -53,6 +49,8 @@ class EmbeddedSwitch {
   std::vector<std::unique_ptr<Port>> ports_;
   std::unordered_map<MacAddr, std::size_t, MacAddrHash> fdb_;
   std::unordered_map<MacAddr, std::size_t, MacAddrHash> static_fdb_;
+  // Per-hop forwarding latency added to packets (models switch + PCIe
+  // cost for the embedded NIC switch case).
   std::int64_t hop_latency_ns_ = 500;
   std::uint64_t flooded_ = 0;
   std::uint64_t forwarded_ = 0;

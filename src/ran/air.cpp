@@ -54,10 +54,6 @@ void AirModel::assign_ru(CellId cell, RuId ru, int prb_offset,
   cells_[std::size_t(cell)].assigned.push_back(std::move(a));
 }
 
-void AirModel::clear_assignments(CellId cell) {
-  cells_[std::size_t(cell)].assigned.clear();
-}
-
 void AirModel::set_ue_position(UeId ue, const Position& p) {
   ues_[std::size_t(ue)].cfg.pos = p;
 }

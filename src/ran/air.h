@@ -126,8 +126,6 @@ class AirModel {
   /// min(cell layers, RU antennas) ports).
   void assign_ru(CellId cell, RuId ru, int prb_offset = 0,
                  std::vector<LayerMap> layers = {});
-  /// Remove all RU assignments of a cell (the "flexible upgrade" flow).
-  void clear_assignments(CellId cell);
 
   const CellConfig& cell(CellId id) const { return cells_[std::size_t(id)].cfg; }
   const RuSite& ru(RuId id) const { return rus_[std::size_t(id)].site; }

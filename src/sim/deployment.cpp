@@ -104,25 +104,32 @@ MiddleboxRuntime& Deployment::add_runtime(std::unique_ptr<MiddleboxApp> app,
   return *runtimes.back();
 }
 
-void Deployment::add_fabric(MiddleboxRuntime& rt, Port& north_peer,
-                            std::int64_t north_latency_ns,
-                            const std::vector<MacAddr>& north_macs,
-                            const std::vector<RuHandle*>& rus) {
+std::vector<Deployment::FabricMember> Deployment::ru_members(
+    const std::vector<RuHandle*>& rus) {
+  std::vector<FabricMember> out;
+  for (auto* r : rus)
+    out.push_back({"ru" + std::to_string(r->index), r->port, r->mac});
+  return out;
+}
+
+Port& Deployment::add_fabric(MiddleboxRuntime& rt,
+                             const std::vector<MacAddr>& north_macs,
+                             const std::vector<FabricMember>& members) {
   Port& north = new_port(rt.config().name + ".north");
   Port& south = new_port(rt.config().name + ".south");
   rt.add_port("north", north);  // index 0: DasMiddlebox/DmimoMiddlebox::kNorth
   rt.add_port("south", south);
-  Port::connect(north_peer, north, north_latency_ns);
 
   EmbeddedSwitch& sw = new_switch(rt.config().name + ".fabric");
   Port& sw_mb = sw.add_port("mb");
   Port::connect(south, sw_mb, 500);
   for (const MacAddr& mac : north_macs) sw.add_static_entry(mac, sw_mb);
-  for (auto* r : rus) {
-    Port& sw_ru = sw.add_port("ru" + std::to_string(r->index));
-    Port::connect(*r->port, sw_ru, 500);
-    sw.add_static_entry(r->mac, sw_ru);
+  for (const FabricMember& m : members) {
+    Port& sw_port = sw.add_port(m.name);
+    Port::connect(*m.port, sw_port, 500);
+    sw.add_static_entry(m.mac, sw_port);
   }
+  return north;
 }
 
 MiddleboxRuntime& Deployment::add_das(DuHandle& du,
@@ -133,14 +140,15 @@ MiddleboxRuntime& Deployment::add_das(DuHandle& du,
   for (auto* r : ru_list) cfg.ru_macs.push_back(r->mac);
   MiddleboxRuntime& rt = add_runtime(std::make_unique<DasMiddlebox>(cfg),
                                      "das", du.du->fh(), driver, workers);
-  add_fabric(rt, *du.port, 1'000, {cfg.du_mac}, ru_list);
+  Port::connect(*du.port, add_fabric(rt, {cfg.du_mac}, ru_members(ru_list)),
+                1'000);
   for (auto* r : ru_list) air.assign_ru(du.cell, r->id, /*prb_offset=*/0);
   return rt;
 }
 
-MiddleboxRuntime& Deployment::add_dmimo(DuHandle& du,
-                                        const std::vector<RuHandle*>& ru_list,
-                                        DriverKind driver, bool copy_ssb) {
+MiddleboxRuntime& Deployment::add_dmimo_stage(
+    DuHandle& du, const std::vector<RuHandle*>& ru_list, DriverKind driver,
+    bool copy_ssb) {
   DmimoConfig cfg;
   cfg.du_mac = du.du->config().du_mac;
   cfg.copy_ssb = copy_ssb;
@@ -163,8 +171,40 @@ MiddleboxRuntime& Deployment::add_dmimo(DuHandle& du,
   }
   MiddleboxRuntime& rt = add_runtime(std::make_unique<DmimoMiddlebox>(cfg),
                                      "dmimo", du.du->fh(), driver);
-  add_fabric(rt, *du.port, 1'000, {cfg.du_mac}, ru_list);
+  add_fabric(rt, {cfg.du_mac}, ru_members(ru_list));
   return rt;
+}
+
+MiddleboxRuntime& Deployment::add_dmimo(DuHandle& du,
+                                        const std::vector<RuHandle*>& ru_list,
+                                        DriverKind driver, bool copy_ssb) {
+  MiddleboxRuntime& rt = add_dmimo_stage(du, ru_list, driver, copy_ssb);
+  Port::connect(*du.port, rt.port(DmimoMiddlebox::kNorth), 1'000);
+  return rt;
+}
+
+Deployment::DasChain Deployment::add_das(
+    DuHandle& du, const std::vector<std::vector<RuHandle*>>& groups) {
+  // The DAS addresses each group by its first RU's MAC, the source its
+  // dMIMO stage gives every UL frame it forwards north. It gets two merge
+  // workers: Figure 14's five branches exceed one core's merge budget.
+  DasChain chain;
+  DasConfig cfg;
+  cfg.du_mac = du.du->config().du_mac;
+  for (const auto& g : groups) cfg.ru_macs.push_back(g.front()->mac);
+  chain.das = &add_runtime(std::make_unique<DasMiddlebox>(cfg), "das",
+                           du.du->fh(), DriverKind::Dpdk, /*workers=*/2);
+  std::vector<FabricMember> stages;
+  for (std::size_t i = 0; i < groups.size(); ++i) {
+    MiddleboxRuntime& rt =
+        add_dmimo_stage(du, groups[i], DriverKind::Dpdk, /*copy_ssb=*/true);
+    chain.dmimo.push_back(&rt);
+    stages.push_back({rt.config().name, &rt.port(DmimoMiddlebox::kNorth),
+                      cfg.ru_macs[i]});
+  }
+  Port::connect(*du.port, add_fabric(*chain.das, {cfg.du_mac}, stages),
+                1'000);
+  return chain;
 }
 
 MiddleboxRuntime& Deployment::add_share_stage(
@@ -232,8 +272,8 @@ Deployment::ShareChain Deployment::add_rushare(
   MiddleboxRuntime& das = add_runtime(std::make_unique<DasMiddlebox>(cfg),
                                       "das", share.config().fh,
                                       DriverKind::Dpdk, /*workers=*/2);
-  add_fabric(das, share.port(RuShareMiddlebox::kSouth), kHopLatencyNs,
-             tenant_macs, rus);
+  Port::connect(share.port(RuShareMiddlebox::kSouth),
+                add_fabric(das, tenant_macs, ru_members(rus)), kHopLatencyNs);
   return {&share, &das};
 }
 

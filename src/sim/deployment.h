@@ -1,7 +1,7 @@
 // Deployment builder: assembles DUs, RUs, middleboxes, fabric and UEs into
 // runnable topologies, owning every object. This is the experiment-facing
 // API: each paper scenario (baseline cell, DAS floor, dMIMO, shared RU,
-// RU sharing chained with DAS) is a few builder calls.
+// RU sharing chained with DAS, DAS over dMIMO) is a few builder calls.
 #pragma once
 
 #include <memory>
@@ -107,6 +107,17 @@ class Deployment {
   ShareChain add_rushare(const std::vector<ShareTenant>& tenants,
                          const std::vector<RuHandle*>& rus);
 
+  /// DAS over dMIMO (paper 6.3.2, Figure 14): a DAS stage distributes one
+  /// cell through one fabric to a dMIMO stage per group of RUs (e.g. per
+  /// floor). The DAS addresses each stage by its group's first RU MAC, the
+  /// source the stage gives its UL. All stages use the DPDK driver.
+  struct DasChain {
+    MiddleboxRuntime* das = nullptr;       ///< DU-facing DAS stage
+    std::vector<MiddleboxRuntime*> dmimo;  ///< one stage per group, in order
+  };
+  DasChain add_das(DuHandle& du,
+                   const std::vector<std::vector<RuHandle*>>& groups);
+
   /// Transparent PRB monitor between a DU and an RU (paper 4.4).
   MiddleboxRuntime& add_prbmon(DuHandle& du, RuHandle& ru,
                                DriverKind driver = DriverKind::Dpdk);
@@ -203,14 +214,28 @@ class Deployment {
   MiddleboxRuntime& add_runtime(std::unique_ptr<MiddleboxApp> app,
                                 const char* kind, const FhContext& fh,
                                 DriverKind driver, int workers = 1);
-  /// Wire a fan-out middlebox (DAS, dMIMO): port "north" (index 0)
-  /// links to `north_peer`; port "south" reaches `rus` through the
-  /// embedded switch "<rt name>.fabric", whose port "mb" routes
-  /// `north_macs` and whose port "ru<index>" routes each RU's MAC.
-  void add_fabric(MiddleboxRuntime& rt, Port& north_peer,
-                  std::int64_t north_latency_ns,
-                  const std::vector<MacAddr>& north_macs,
-                  const std::vector<RuHandle*>& rus);
+  /// A south member of a fan-out fabric: the switch port `name` links to
+  /// `port` and routes `mac` there.
+  struct FabricMember {
+    std::string name;
+    Port* port;
+    MacAddr mac;
+  };
+  /// One member per RU: switch port "ru<index>" routing the RU's MAC.
+  static std::vector<FabricMember> ru_members(
+      const std::vector<RuHandle*>& rus);
+  /// Wire a fan-out middlebox (DAS, dMIMO): port "south" reaches
+  /// `members` through the embedded switch "<rt name>.fabric", whose port
+  /// "mb" routes `north_macs`. Returns port "north" (index 0), unlinked.
+  Port& add_fabric(MiddleboxRuntime& rt,
+                   const std::vector<MacAddr>& north_macs,
+                   const std::vector<FabricMember>& members);
+  /// dMIMO runtime for `rus` under `du` (its SSB window), each RU's
+  /// antennas assigned to the next cell layers, with its fabric to `rus`
+  /// wired. The north port is left for the caller to link.
+  MiddleboxRuntime& add_dmimo_stage(DuHandle& du,
+                                    const std::vector<RuHandle*>& rus,
+                                    DriverKind driver, bool copy_ssb);
   /// RU-share runtime with its tenants' north links wired and every
   /// tenant cell assigned to every RU of `rus` at its slice. The south
   /// port is left for the caller to link.

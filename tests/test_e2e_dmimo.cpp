@@ -136,5 +136,59 @@ TEST(E2eDmimo, SsbCopyExtendsCoverageToSecondRu) {
   }
 }
 
+/// Figure 14 (paper 6.3.2): one 4-layer cell over five floors, a DAS
+/// stage feeding one dMIMO stage per floor of four 1-antenna RUs. Built
+/// only through Deployment.
+TEST(E2eDasDmimo, FiveFloorChainCarriesDlAndUl) {
+  constexpr int kFloors = 5;
+  Deployment d;
+  auto du = d.add_du(cell100(4), srsran_profile(), 0);
+  const Hertz cf = du.du->config().cell.center_freq;
+  std::vector<Deployment::RuHandle> rus;
+  for (int f = 0; f < kFloors; ++f)
+    for (int i = 0; i < 4; ++i)
+      rus.push_back(d.add_ru(site_at(d.plan, f, i, 1, cf),
+                             std::uint8_t(f * 4 + i), du.du->fh()));
+  std::vector<std::vector<Deployment::RuHandle*>> floors(kFloors);
+  for (std::size_t r = 0; r < rus.size(); ++r)
+    floors[r / 4].push_back(&rus[r]);
+  const Deployment::DasChain chain = d.add_das(du, floors);
+  ASSERT_EQ(chain.dmimo.size(), std::size_t(kFloors));
+  std::vector<UeId> ues;
+  for (int f = 0; f < kFloors; ++f)
+    for (int i = 0; i < 4; ++i)
+      ues.push_back(d.add_ue(d.plan.near_ru(f, i, 3.0), &du, 400.0, 50.0));
+  ASSERT_TRUE(d.attach_all(900));
+
+  d.measure(200);
+  double all_dl = 0, ul = 0;
+  for (int f = 0; f < kFloors; ++f) {
+    double floor_dl = 0;
+    for (int i = 0; i < 4; ++i) {
+      floor_dl += d.dl_mbps(ues[std::size_t(f * 4 + i)]);
+      ul += d.ul_mbps(ues[std::size_t(f * 4 + i)]);
+    }
+    EXPECT_GT(floor_dl, 100.0) << "floor " << f;
+    all_dl += floor_dl;
+  }
+  EXPECT_GT(ul, 0.0);
+  // Merged UL reaches the DU: every group's copy carries a member MAC.
+  const Telemetry& das = chain.das->telemetry();
+  EXPECT_GT(das.counter("das_merges"), 0u);
+  EXPECT_EQ(das.counter("das_merge_failures"), 0u);
+  EXPECT_EQ(das.counter("das_unknown_source_copies"), 0u);
+
+  // Only floor 0 active: its UEs get the cell's whole capacity.
+  d.traffic.clear();
+  du.du->scheduler().clear_backlogs();
+  for (int i = 0; i < 4; ++i)
+    d.traffic.set_flow(*du.du, ues[std::size_t(i)], 400.0, 0.0);
+  d.engine.run_slots(60);
+  d.measure(200);
+  double burst = 0;
+  for (int i = 0; i < 4; ++i) burst += d.dl_mbps(ues[std::size_t(i)]);
+  EXPECT_GT(burst, all_dl / kFloors);
+}
+
 }  // namespace
 }  // namespace rb

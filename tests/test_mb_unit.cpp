@@ -155,6 +155,30 @@ TEST(DasUnit, MismatchedGeometryCountsFailure) {
   EXPECT_EQ(h.rt.telemetry().counter("das_merge_failures"), 1u);
 }
 
+TEST(DasUnit, NonMemberCopyCountsAsUnknownSourceNotDuplicate) {
+  const FhContext ctx = ctx100();
+  DasConfig cfg;
+  cfg.du_mac = MacAddr::du(0);
+  cfg.ru_macs = {MacAddr::ru(0), MacAddr::ru(1)};
+  DasMiddlebox app(cfg);
+  Harness h(app, 2, ctx);
+  const SlotPoint at{1, 2, 0, 0};  // absolute slot 24 at kHz30
+  const EaxcId eaxc{0, 0, 0, 0};
+  h.ext[1]->send(uplane_pkt(ctx, Direction::Uplink, at, eaxc, 0, 4, 1000,
+                            MacAddr::ru(0)));
+  h.ext[1]->send(uplane_pkt(ctx, Direction::Uplink, at, eaxc, 0, 4, 700,
+                            MacAddr::ru(7)));  // no member of the DAS
+  h.ext[1]->send(uplane_pkt(ctx, Direction::Uplink, at, eaxc, 0, 4, 500,
+                            MacAddr::ru(1)));
+  h.rt.pump(24, 0);
+  EXPECT_EQ(h.drain(DasMiddlebox::kNorth).size(), 1u);
+  const Telemetry& tm = h.rt.telemetry();
+  EXPECT_EQ(tm.counter("das_merges"), 1u);
+  EXPECT_EQ(tm.counter("das_unknown_source_copies"), 1u);
+  EXPECT_EQ(tm.counter("das_duplicate_copies"), 0u);
+  EXPECT_EQ(tm.counter("das_ejected_copies"), 0u);
+}
+
 TEST(DmimoUnit, LayerMapCoversAllAntennas) {
   DmimoConfig cfg;
   cfg.rus = {{MacAddr::ru(0), 2}, {MacAddr::ru(1), 1}, {MacAddr::ru(2), 1}};
@@ -205,6 +229,7 @@ TEST(DmimoUnit, UplinkRemapsBackByLayerBase) {
   auto f = parse_frame(out[0]->data(), ctx);
   EXPECT_EQ(f->ecpri.eaxc.ru_port, 3);  // base 2 + local 1
   EXPECT_EQ(f->eth.dst, cfg.du_mac);
+  EXPECT_EQ(f->eth.src, MacAddr::ru(0));  // the group's identity north
 }
 
 TEST(PrbMonUnit, ThresholdsConfigurableViaMgmt) {
